@@ -13,8 +13,12 @@
 //! - `toggle_projection`: a column is hidden (Reorganize — the cached
 //!   canonical is reused wholesale, only visibility changes).
 //!
-//! The template sheet is cloned *outside* the timed region so each
-//! sample sees the same warm cache. Results go to console and to
+//! Every sample starts from the same warm cache, set up outside the
+//! timed region. An incremental sample gets a freshly warmed sheet over
+//! the shared base: a clone of the template would share its cached row
+//! chunks, and the edit would then pay their copy-on-write, which a
+//! long-lived sheet never does. A full sample clones the template, whose
+//! cache it discards anyway. Results go to console and to
 //! `BENCH_incremental.json` at the repository root. `SSA_BENCH_FAST=1`
 //! runs a tiny smoke configuration (the JSON is then marked
 //! `"fast": true`).
@@ -22,14 +26,16 @@
 use spreadsheet_algebra::eval::evaluate_with;
 use spreadsheet_algebra::prelude::*;
 use ssa_bench::synthetic_cars;
+use ssa_relation::Relation;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The warm template: grouped by Model then Year, ordered by Price, one
 /// aggregate (recomputed on narrowing) and one coarse selection so
 /// `tighten_selection` has something to tighten.
-fn template(n: usize) -> (Spreadsheet, u64) {
-    let mut s = Spreadsheet::over(synthetic_cars(n));
+fn template(base: &Arc<Relation>) -> (Spreadsheet, u64) {
+    let mut s = Spreadsheet::over_shared(Arc::clone(base));
     s.group(&["Model"], Direction::Asc).unwrap();
     s.group_add(&["Year"], Direction::Asc).unwrap();
     s.order("Price", Direction::Asc, 3).unwrap();
@@ -72,10 +78,10 @@ const SCENARIOS: &[Scenario] = &[
     },
 ];
 
-/// Median wall time of (edit + view) in milliseconds. The clone restoring
-/// the warm template runs outside the timed region.
+/// Median wall time of (edit + view) in milliseconds. `warm` builds each
+/// sample's warm sheet outside the timed region.
 fn time_edit(
-    template: &Spreadsheet,
+    warm: impl Fn() -> Spreadsheet,
     sel: u64,
     edit: fn(&mut Spreadsheet, u64),
     samples: usize,
@@ -83,7 +89,7 @@ fn time_edit(
     let mut times = Vec::with_capacity(samples);
     // Warm-up iterations (code paths, allocator) are discarded.
     for i in 0..samples + 2 {
-        let mut s = template.clone();
+        let mut s = warm();
         let t = Instant::now();
         edit(&mut s, sel);
         black_box(s.view().expect("edited sheet evaluates"));
@@ -113,7 +119,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in sizes {
-        let (warm, sel) = template(n);
+        let base = Arc::new(synthetic_cars(n));
+        let (warm, sel) = template(&base);
         let mut full = warm.clone();
         full.set_incremental(false);
         full.set_fast_reorganize(false);
@@ -139,8 +146,8 @@ fn main() {
                 sc.name
             );
 
-            let full_ms = time_edit(&full, sel, sc.edit, samples);
-            let incremental_ms = time_edit(&warm, sel, sc.edit, samples);
+            let full_ms = time_edit(|| full.clone(), sel, sc.edit, samples);
+            let incremental_ms = time_edit(|| template(&base).0, sel, sc.edit, samples);
             println!(
                 "incremental/{:>6} rows/{:18}  full {:8.3} ms  incremental {:8.3} ms  speedup {:5.2}x",
                 n,

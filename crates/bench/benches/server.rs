@@ -51,6 +51,14 @@ fn orders_host(n: usize) -> (SheetHost, OrderFeed) {
     (SheetHost::new(rel), feed)
 }
 
+/// A copy of the base that shares no row chunk with it: what the
+/// pre-refactor world paid wherever it copied the base by value (a
+/// `Relation::clone` now copies only chunk pointers).
+fn deep_copy(rel: &Relation) -> Relation {
+    Relation::with_rows(rel.name(), rel.schema().clone(), rel.rows().to_vec())
+        .expect("same schema, same widths")
+}
+
 /// The per-request query, applied through the undoable engine, varied
 /// by request index so successive requests never hit an identical
 /// predicate. The selection passes ~1-3% of rows (feed prices are
@@ -63,7 +71,7 @@ fn query(e: &mut Engine, i: usize, old_snapshots: bool) {
     let threshold = 2_000.0 + (i % 7) as f64 * 500.0;
     let charge = |e: &mut Engine| {
         if old_snapshots {
-            black_box(e.sheet().base().clone());
+            black_box(deep_copy(e.sheet().base()));
         }
     };
     charge(e);
@@ -91,7 +99,7 @@ fn read_shared(host: &SheetHost, i: usize) {
 /// deep-copies it again.
 fn read_unshared(host: &SheetHost, i: usize) {
     let snapshot = host.snapshot();
-    let mut e = Engine::over((*snapshot.base).clone());
+    let mut e = Engine::over(deep_copy(&snapshot.base));
     query(&mut e, i, true);
 }
 
@@ -190,7 +198,7 @@ fn main() {
         {
             let snapshot = host.snapshot();
             let mut shared = Engine::over_shared(Arc::clone(&snapshot.base));
-            let mut copied = Engine::over((*snapshot.base).clone());
+            let mut copied = Engine::over(deep_copy(&snapshot.base));
             query(&mut shared, 3, false);
             query(&mut copied, 3, true);
             assert_eq!(
@@ -272,7 +280,7 @@ fn main() {
         let copy_us = {
             let start = Instant::now();
             for _ in 0..samples {
-                black_box(Spreadsheet::over((*snapshot.base).clone()));
+                black_box(Spreadsheet::over(deep_copy(&snapshot.base)));
             }
             start.elapsed().as_secs_f64() * 1e6 / samples as f64
         };

@@ -48,6 +48,7 @@ use crate::tree::{build_tree, GroupTree};
 use ssa_relation::compiled::{CompiledExpr, RowAccess};
 use ssa_relation::ops;
 use ssa_relation::relation::Relation;
+use ssa_relation::rows::RowStore;
 use ssa_relation::schema::{Column, Schema};
 use ssa_relation::tuple::Tuple;
 use ssa_relation::value::{Value, ValueType};
@@ -226,7 +227,7 @@ use crate::plan::Plan;
 /// Read the value of `slot` for base row `row`: base columns come from
 /// the immutable base tuple, computed columns from their buffers.
 fn slot_value<'a>(
-    base_rows: &'a [Tuple],
+    base_rows: &'a RowStore,
     bufs: &'a [Option<Vec<Value>>],
     width: usize,
     row: u32,
@@ -249,7 +250,7 @@ fn slot_value<'a>(
 /// One live row of the index-vector engine, viewed through slots.
 #[derive(Clone, Copy)]
 struct EngineRow<'a> {
-    base_rows: &'a [Tuple],
+    base_rows: &'a RowStore,
     bufs: &'a [Option<Vec<Value>>],
     width: usize,
     row: u32,

@@ -321,12 +321,10 @@ fn recompute_group(
         let inputs: Vec<&Value> = ids.iter().map(|&c| rows[c as usize].get(in_idx)).collect();
         func.apply_refs(&inputs)?
     };
-    for &j in &js {
-        derived.rows_mut()[j].set(agg_idx, v);
-    }
-    for &c in &ids {
-        canonical.rows_mut()[c as usize].set(agg_idx, v);
-    }
+    derived.rows_mut().set_each(js, agg_idx, v);
+    canonical
+        .rows_mut()
+        .set_each(ids.iter().map(|&c| c as usize), agg_idx, v);
     Ok(())
 }
 
@@ -516,8 +514,8 @@ impl CacheEntry {
                 }
             }
             None => {
-                for (r, &g) in gc.gid.iter().enumerate() {
-                    inputs[g as usize].push(rows[r].get(col_idx));
+                for (t, &g) in rows.iter().zip(&gc.gid) {
+                    inputs[g as usize].push(t.get(col_idx));
                 }
             }
         }
@@ -570,13 +568,15 @@ impl CacheEntry {
                     })
                     .collect()
             } else {
-                let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-                order.sort_by(|&a, &b| rows[a as usize].get(idx).cmp(rows[b as usize].get(idx)));
-                let mut ranks = vec![0u32; rows.len()];
+                // Gather the column once: the sort then compares through
+                // one slice instead of walking row chunks per comparison.
+                let vals: Vec<&Value> = rows.iter().map(|t| t.get(idx)).collect();
+                let mut order: Vec<u32> = (0..vals.len() as u32).collect();
+                order.sort_by(|&a, &b| vals[a as usize].cmp(vals[b as usize]));
+                let mut ranks = vec![0u32; vals.len()];
                 let mut rank = 0u32;
                 for (i, &row) in order.iter().enumerate() {
-                    if i > 0 && rows[row as usize].get(idx) != rows[order[i - 1] as usize].get(idx)
-                    {
+                    if i > 0 && vals[row as usize] != vals[order[i - 1] as usize] {
                         rank += 1;
                     }
                     ranks[row as usize] = rank;
@@ -1164,7 +1164,7 @@ impl CacheEntry {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     let mut map: BTreeMap<Vec<Value>, Accum> = BTreeMap::new();
                     let basis_idx: Vec<usize> = target.iter().map(|&(i, _)| i).collect();
-                    for r in &canonical.rows()[..cpos] {
+                    for r in canonical.rows().iter().take(cpos) {
                         let key: Vec<Value> = basis_idx.iter().map(|&i| *r.get(i)).collect();
                         let acc = map
                             .entry(key)
@@ -1186,13 +1186,16 @@ impl CacheEntry {
                         // Untouched group value: only the new row needs
                         // the cell (it is at the tail, so derived row p
                         // and canonical row cpos are the only writes).
-                        canonical.rows_mut()[cpos].set(idx, new);
-                        derived.data.rows_mut()[p].set(idx, new);
+                        canonical.rows_mut().set(cpos, idx, new);
+                        derived.data.rows_mut().set(p, idx, new);
                     } else {
-                        for j in group_positions(canonical, perm, &sort_idx, &target) {
-                            derived.data.rows_mut()[j].set(idx, new);
-                            canonical.rows_mut()[perm[j] as usize].set(idx, new);
-                        }
+                        let js = group_positions(canonical, perm, &sort_idx, &target);
+                        canonical.rows_mut().set_each(
+                            js.iter().map(|&j| perm[j] as usize),
+                            idx,
+                            new,
+                        );
+                        derived.data.rows_mut().set_each(js, idx, new);
                         if old.value_type() != new.value_type() {
                             re_unify_column(canonical, &mut derived.data, idx);
                         }
@@ -1204,8 +1207,8 @@ impl CacheEntry {
                     );
                     acc.push(&input)?;
                     let v = acc.value()?;
-                    canonical.rows_mut()[cpos].set(idx, v);
-                    derived.data.rows_mut()[p].set(idx, v);
+                    canonical.rows_mut().set(cpos, idx, v);
+                    derived.data.rows_mut().set(p, idx, v);
                     let ty = canonical.schema().columns()[idx].ty.unify(v.value_type());
                     canonical.schema_mut().set_column_type(idx, ty);
                     derived.data.schema_mut().set_column_type(idx, ty);
@@ -1345,8 +1348,8 @@ impl CacheEntry {
                 .iter()
                 .position(|&c| c as usize == cpos)
                 .ok_or_else(|| internal("canonical row missing from permutation"))?;
-            canonical.rows_mut()[cpos].set(col_idx, newv);
-            derived.data.rows_mut()[j].set(col_idx, newv);
+            canonical.rows_mut().set(cpos, col_idx, newv);
+            derived.data.rows_mut().set(j, col_idx, newv);
             sort_keys.remove(&col_idx);
             col_vals.remove(&col_idx);
             groups.retain(|key, _| !key.contains(&col_idx));
@@ -1412,8 +1415,11 @@ impl CacheEntry {
 /// server sessions, undo snapshots, published reader snapshots) share one
 /// immutable copy, and the base-editing operators copy-on-write via
 /// [`Arc::make_mut`] — an unshared sheet mutates in place at the §14
-/// streaming costs, a shared one pays one relation clone and leaves every
-/// other holder's snapshot untouched.
+/// streaming costs. A shared one clones the relation, which copies only
+/// the pointers of its `Arc`-shared row chunks; the edit then copies just
+/// the chunks it writes (the tail chunk for an append, one chunk for a
+/// cell update, the chunks from the first removed row on for a delete)
+/// and leaves every other holder's snapshot untouched.
 #[derive(Debug, Clone)]
 pub struct Spreadsheet {
     name: String,

@@ -273,10 +273,11 @@ pub(crate) fn encode_with_vv(sheet: &StoredSheet, vv: &VersionVector) -> Result<
     let mut page: Vec<&Value> = Vec::with_capacity(PAGE_ROWS.min(rows.len().max(1)));
     for (col, chunks) in index.iter_mut().enumerate() {
         let mut first_row = 0usize;
+        let mut column = rows.iter().map(|t| &t.values()[col]);
         while first_row < rows.len() {
             let end = (first_row + PAGE_ROWS).min(rows.len());
             page.clear();
-            page.extend(rows[first_row..end].iter().map(|t| &t.values()[col]));
+            page.extend(column.by_ref().take(end - first_row));
             let payload = chunk_payload(col as u32, first_row as u64, &page, &dict);
             let off = write_frame(&mut out, FrameKind::Chunk, &payload)?;
             chunks.push((off, first_row as u64, page.len() as u32));

@@ -7,7 +7,8 @@
 //! * a scalar [`value::Value`] system with a total order and SQL-style
 //!   NULL propagation,
 //! * [`schema::Schema`] / [`tuple::Tuple`] / [`relation::Relation`]
-//!   (multiset semantics),
+//!   (multiset semantics) over the `Arc`-shared chunked
+//!   [`rows::RowStore`],
 //! * a scalar expression language ([`expr::Expr`]) with a parser
 //!   ([`expr_parse`]) shared by the SheetMusiq script language and the SQL
 //!   front end,
@@ -37,6 +38,7 @@ pub mod ops;
 pub mod par;
 pub mod relation;
 pub mod rng;
+pub mod rows;
 pub mod schema;
 pub mod tuple;
 pub mod value;
@@ -60,6 +62,7 @@ pub use error::{RelationError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use intern::Sym;
 pub use relation::{ColumnSlice, Relation};
+pub use rows::RowStore;
 pub use schema::{Column, Schema};
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

@@ -859,7 +859,12 @@ mod tests {
         // Output must stay identical to the nested loop either way.
         let cond = Expr::col("k").eq(Expr::col("big.k"));
         let take = |r: &Relation, n: usize| {
-            Relation::with_rows(r.name(), r.schema().clone(), r.rows()[..n].to_vec()).unwrap()
+            Relation::with_rows(
+                r.name(),
+                r.schema().clone(),
+                r.rows().iter().take(n).cloned().collect(),
+            )
+            .unwrap()
         };
         let (a, b) = (take(&dupheavy, 40), take(&big, 60));
         let j = join(&a, &b, &cond).unwrap();

@@ -7,6 +7,7 @@
 
 use crate::error::{RelationError, Result};
 use crate::intern::Sym;
+use crate::rows::RowStore;
 use crate::schema::{Column, Schema};
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -22,7 +23,7 @@ const DISTINCT_SAMPLE_BUDGET: usize = 1024;
 pub struct Relation {
     name: String,
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: RowStore,
 }
 
 impl Relation {
@@ -31,7 +32,7 @@ impl Relation {
         Relation {
             name: name.into(),
             schema,
-            rows: Vec::new(),
+            rows: RowStore::new(),
         }
     }
 
@@ -42,9 +43,7 @@ impl Relation {
         rows: Vec<Tuple>,
     ) -> Result<Relation> {
         let mut r = Relation::new(name, schema);
-        for t in rows {
-            r.insert(t)?;
-        }
+        r.append_rows(rows)?;
         Ok(r)
     }
 
@@ -72,11 +71,9 @@ impl Relation {
             });
         }
         let mut r = Relation::new(name, schema);
-        r.rows.reserve(rows);
-        for i in 0..rows {
-            r.rows
-                .push(Tuple::new(columns.iter().map(|c| c[i]).collect()));
-        }
+        r.rows = (0..rows)
+            .map(|i| Tuple::new(columns.iter().map(|c| c[i]).collect()))
+            .collect();
         Ok(r)
     }
 
@@ -96,11 +93,13 @@ impl Relation {
         &mut self.schema
     }
 
-    pub fn rows(&self) -> &[Tuple] {
+    pub fn rows(&self) -> &RowStore {
         &self.rows
     }
 
-    pub fn rows_mut(&mut self) -> &mut Vec<Tuple> {
+    /// The row store's narrow mutators (`push`, `insert`, `set`,
+    /// `sort_by`, ...). They do not check tuple widths against the schema.
+    pub fn rows_mut(&mut self) -> &mut RowStore {
         &mut self.rows
     }
 
@@ -131,8 +130,9 @@ impl Relation {
     /// Append a batch of tuples, validating every width **before** the
     /// first mutation so a bad batch leaves the relation untouched.
     /// String values were interned when the tuples were built, so the
-    /// append itself is a pure `memcpy`-class extend. Returns the index
-    /// of the first appended row.
+    /// append itself moves tuples into the tail chunk (copying it first
+    /// if a clone of this relation shares it). Returns the index of the
+    /// first appended row.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> Result<usize> {
         for t in &rows {
             if t.len() != self.schema.len() {
@@ -154,32 +154,23 @@ impl Relation {
     /// Remove the rows at `indices` (any order, duplicates ignored),
     /// returning the removed `(index, tuple)` pairs in ascending index
     /// order — exactly what [`Relation::reinsert_rows`] needs to undo the
-    /// removal. One retain pass, `O(rows)`.
+    /// removal. One pass over the chunks from the first removed row on;
+    /// the chunks before it stay shared with any clone.
     pub fn remove_rows_at(&mut self, indices: &[u32]) -> Result<Vec<(u32, Tuple)>> {
-        for &i in indices {
-            if i as usize >= self.rows.len() {
-                return Err(RelationError::TypeMismatch {
-                    context: format!(
-                        "row index {i} out of range for `{}` ({} rows)",
-                        self.name,
-                        self.rows.len()
-                    ),
-                });
-            }
+        let len = self.rows.len();
+        if let Some(&i) = indices.iter().find(|&&i| i as usize >= len) {
+            return Err(RelationError::RowOutOfRange {
+                row: i as usize,
+                len,
+            });
         }
-        let mut drop = vec![false; self.rows.len()];
+        let mut drop = vec![false; len];
         for &i in indices {
             drop[i as usize] = true;
         }
         let mut removed = Vec::with_capacity(indices.len());
-        let mut i = 0;
-        self.rows.retain(|t| {
-            if drop[i] {
-                removed.push((i as u32, t.clone()));
-            }
-            i += 1;
-            !drop[i - 1]
-        });
+        self.rows
+            .retain_indexed(|i| !drop[i], |i, t| removed.push((i as u32, t)));
         Ok(removed)
     }
 
@@ -187,11 +178,7 @@ impl Relation {
     /// their original positions. `removed` must be the pairs that call
     /// returned (ascending original indices).
     pub fn reinsert_rows(&mut self, removed: Vec<(u32, Tuple)>) {
-        // Inserting in ascending original-index order keeps every later
-        // original index valid as the vector regrows.
-        for (idx, t) in removed {
-            self.rows.insert(idx as usize, t);
-        }
+        self.rows.reinsert(removed);
     }
 
     /// Overwrite one cell, returning the previous value (for rollback).
@@ -203,9 +190,7 @@ impl Relation {
                 len: self.rows.len(),
             });
         }
-        let old = *self.rows[row].get(idx);
-        self.rows[row].set(idx, value);
-        Ok(old)
+        Ok(self.rows.set(row, idx, value))
     }
 
     /// Value at (row, column-name).
@@ -238,7 +223,8 @@ impl Relation {
     /// Gather the rows at `indices` (in that order) into a new relation
     /// with the same name and schema. This is the single materialization
     /// point of the index-vector engine: evaluation carries `Vec<u32>` row
-    /// ids and only clones tuples here, once, at the end.
+    /// ids and only clones tuples here, once, at the end, straight into
+    /// the new relation's chunks.
     pub fn take_rows(&self, indices: &[u32]) -> Relation {
         Relation {
             name: self.name.clone(),
@@ -251,15 +237,11 @@ impl Relation {
     }
 
     /// Keep only the rows whose index satisfies `keep`, preserving order.
-    /// Runs in place — surviving tuples are moved, never cloned — which is
-    /// what makes narrowing a cached evaluation cheaper than re-gathering.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let k = keep(i);
-            i += 1;
-            k
-        });
+    /// Surviving tuples of unshared chunks are moved, never cloned — which
+    /// is what makes narrowing a cached evaluation cheaper than
+    /// re-gathering.
+    pub fn retain_rows(&mut self, keep: impl FnMut(usize) -> bool) {
+        self.rows.retain_indexed(keep, |_, _| {});
     }
 
     /// Add a column filled by `fill(row_index, tuple)`.
@@ -288,7 +270,7 @@ impl Relation {
     /// Remove a column and its values from every row.
     pub fn drop_column(&mut self, name: &str) -> Result<()> {
         let idx = self.schema.remove(name)?;
-        for t in &mut self.rows {
+        for t in self.rows.iter_mut() {
             t.remove(idx);
         }
         Ok(())
@@ -300,8 +282,8 @@ impl Relation {
         if self.schema != other.schema || self.len() != other.len() {
             return false;
         }
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
+        let mut a = self.rows.to_vec();
+        let mut b = other.rows.to_vec();
         a.sort();
         b.sort();
         a == b
@@ -320,7 +302,7 @@ impl Relation {
             .map(|c| other.schema.index_of(&c.name).ok())
             .collect();
         let Some(mapping) = mapping else { return false };
-        let mut a = self.rows.clone();
+        let mut a = self.rows.to_vec();
         let mut b: Vec<Tuple> = other.rows.iter().map(|t| t.project(&mapping)).collect();
         a.sort();
         b.sort();
@@ -445,7 +427,7 @@ impl Relation {
 /// lives as long as the relation it was taken from.
 #[derive(Clone, Copy)]
 pub struct ColumnSlice<'a> {
-    rows: &'a [Tuple],
+    rows: &'a RowStore,
     idx: usize,
 }
 
@@ -477,6 +459,8 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+    use crate::rows::CHUNK;
     use crate::tuple;
     use crate::value::ValueType::*;
 
@@ -702,5 +686,111 @@ mod tests {
         let h = r.histogram();
         assert_eq!(h[&tuple![1]], 2);
         assert_eq!(h[&tuple![2]], 1);
+    }
+
+    /// The chunked store against a plain `Vec<Tuple>` model, through every
+    /// row mutator, at lengths around the chunk size. A clone taken before
+    /// each edit must never see it.
+    #[test]
+    fn row_store_matches_vec_model() {
+        fn row(i: i64) -> Tuple {
+            tuple![i, i % 7]
+        }
+        let schema = Schema::of(&[("k", Int), ("v", Int)]);
+        let mut rng = Rng::seed_from_u64(0x5EED_C4A1);
+        let lens = [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17];
+        for (case, &n) in lens.iter().cycle().take(30).enumerate() {
+            let keys: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+            let vals: Vec<Value> = (0..n as i64).map(|i| Value::Int(i % 7)).collect();
+            let mut r = Relation::from_columns("m", schema.clone(), &[&keys, &vals]).unwrap();
+            let mut model: Vec<Tuple> = (0..n as i64).map(row).collect();
+            let mut next = n as i64;
+            for step in 0..50 {
+                let held = r.clone();
+                let held_model = model.clone();
+                match rng.gen_range(0..9usize) {
+                    0 => {
+                        r.insert(row(next)).unwrap();
+                        model.push(row(next));
+                        next += 1;
+                    }
+                    1 => {
+                        let k = rng.gen_range(0..2 * CHUNK) as i64;
+                        let batch: Vec<Tuple> = (next..next + k).map(row).collect();
+                        next += k;
+                        assert_eq!(r.append_rows(batch.clone()).unwrap(), model.len());
+                        model.extend(batch);
+                    }
+                    2 => {
+                        let at = rng.gen_range(0..model.len() + 1);
+                        r.rows_mut().insert(at, row(next));
+                        model.insert(at, row(next));
+                        next += 1;
+                    }
+                    3 if !model.is_empty() => {
+                        let ids: Vec<u32> = (0..rng.gen_range(1..8usize))
+                            .map(|_| rng.gen_range(0..model.len()) as u32)
+                            .collect();
+                        let removed = r.remove_rows_at(&ids).unwrap();
+                        let mut want = Vec::new();
+                        let mut i = 0u32;
+                        model.retain(|t| {
+                            i += 1;
+                            if ids.contains(&(i - 1)) {
+                                want.push((i - 1, t.clone()));
+                                return false;
+                            }
+                            true
+                        });
+                        assert_eq!(removed, want, "case {case} step {step}");
+                        if rng.gen_bool(0.5) {
+                            r.reinsert_rows(removed);
+                            model = held_model.clone();
+                        }
+                    }
+                    4 if !model.is_empty() => {
+                        let at = rng.gen_range(0..model.len());
+                        let old = r.set_value(at, "v", Value::Int(next)).unwrap();
+                        assert_eq!(old, *model[at].get(1));
+                        model[at].set(1, Value::Int(next));
+                        next += 1;
+                    }
+                    5 => {
+                        r.rows_mut().sort_by(|a, b| a.get(1).cmp(b.get(1)));
+                        model.sort_by(|a, b| a.get(1).cmp(b.get(1)));
+                    }
+                    6 => {
+                        r.rows_mut().reverse();
+                        model.reverse();
+                        assert_eq!(r.rows_mut().pop(), model.pop());
+                    }
+                    7 => {
+                        let keep = rng.gen_range(1..5usize);
+                        r.retain_rows(|i| i % keep != 0);
+                        let mut i = 0;
+                        model.retain(|_| {
+                            i += 1;
+                            (i - 1) % keep != 0
+                        });
+                    }
+                    _ if !model.is_empty() => {
+                        let ids: Vec<u32> = (0..rng.gen_range(0..2 * CHUNK))
+                            .map(|_| rng.gen_range(0..model.len()) as u32)
+                            .collect();
+                        let taken = r.take_rows(&ids);
+                        taken.rows().assert_shape();
+                        let want: Vec<Tuple> =
+                            ids.iter().map(|&i| model[i as usize].clone()).collect();
+                        assert_eq!(*taken.rows(), want[..]);
+                    }
+                    _ => {}
+                }
+                r.rows().assert_shape();
+                assert_eq!(*r.rows(), model[..], "case {case} step {step}");
+                assert!(r.rows().iter().rev().eq(model.iter().rev()));
+                assert_eq!(r.rows().get(model.len()), None);
+                assert_eq!(*held.rows(), held_model[..], "a held clone changed");
+            }
+        }
     }
 }

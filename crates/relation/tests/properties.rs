@@ -263,7 +263,7 @@ fn sort_is_stable_permutation() {
         assert!(col.windows(2).all(|w| w[0] <= w[1]));
         // stability: rows with equal x keep their original relative order
         let orig: Vec<&Tuple> = a.rows().iter().collect();
-        for w in sorted.rows().windows(2) {
+        for w in sorted.rows().to_vec().windows(2) {
             if w[0].get(0) == w[1].get(0) {
                 let i = orig.iter().position(|t| *t == &w[0]).unwrap();
                 let j = orig.iter().rposition(|t| *t == &w[1]).unwrap();

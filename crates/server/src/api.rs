@@ -188,10 +188,10 @@ fn delete_rows(state: &ServerState, name: &str, req: &Request) -> Response {
     };
     respond(|| {
         let ids = wire::parse_row_ids(body)?;
-        let version = state.host(name)?.delete_rows(&ids)?;
+        let (deleted, version) = state.host(name)?.delete_rows(&ids)?;
         Ok(Response::json(
             200,
-            format!("{{\"deleted\": {}, \"version\": {version}}}\n", ids.len()),
+            format!("{{\"deleted\": {deleted}, \"version\": {version}}}\n"),
         ))
     })
 }

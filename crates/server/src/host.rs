@@ -182,10 +182,15 @@ impl SheetHost {
         Ok((n, version))
     }
 
-    /// Delete base rows by id; returns the new version.
-    pub fn delete_rows(&self, ids: &[u32]) -> Result<u64> {
+    /// Delete base rows by id; returns (rows deleted, new version). A
+    /// delete removes every distinct id or, on an out-of-range id, none,
+    /// so repeated ids count once.
+    pub fn delete_rows(&self, ids: &[u32]) -> Result<(usize, u64)> {
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
         let (_, version) = self.apply_op(SheetOp::DeleteRows { ids: ids.to_vec() })?;
-        Ok(version)
+        Ok((distinct.len(), version))
     }
 
     /// Update one base cell; returns the new version.

@@ -223,6 +223,10 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Req
 /// every 200 ms to check the stop flag.
 fn serve_connection(stream: TcpStream, state: &ServerState, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    // A response larger than the write buffer leaves in several writes;
+    // with Nagle on, its last partial segment waits for the client's
+    // delayed ACK (~40 ms). Every response is flushed whole, so send now.
+    let _ = stream.set_nodelay(true);
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -380,6 +384,7 @@ pub fn serve_with(
                             // connection with an explicit retry signal
                             // instead of queueing without bound.
                             let mut s = s;
+                            let _ = s.set_nodelay(true);
                             let _ = Response::unavailable(SHED_RETRY_AFTER_SECS)
                                 .write_to(&mut s, false);
                             let _ = s.flush();

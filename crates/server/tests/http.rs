@@ -269,3 +269,73 @@ fn concurrent_sessions_see_consistent_views() {
     assert!(body.contains("\"version\": 10"), "final version: {body}");
     handle.shutdown();
 }
+
+#[test]
+fn large_view_twice_on_one_keep_alive_connection() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    let mut csv = String::from("Id,Model,Price,Year\n");
+    for i in 0..4000 {
+        csv.push_str(&format!(
+            "{i},Model{},{},{}\n",
+            i % 37,
+            10_000 + i,
+            1990 + i % 30
+        ));
+    }
+    let (status, body) = request(addr, "PUT", "/sheets/big", &csv);
+    assert_eq!(status, 201, "create: {body}");
+    let (status, body) = request(addr, "POST", "/sessions?sheet=big", "");
+    assert_eq!(status, 201, "session: {body}");
+
+    // Each response is larger than the server's write buffer, so it
+    // leaves in several writes. Both must arrive whole, and the second
+    // must start exactly where the first one's Content-Length ended.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut bodies = Vec::new();
+    for _ in 0..2 {
+        send_request(&mut writer, "GET", "/sessions/1/view", "", false);
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert!(body.len() > 64 * 1024, "view is only {} bytes", body.len());
+        assert!(body.contains("Model36"), "view lost rows");
+        bodies.push(body);
+    }
+    assert_eq!(bodies[0], bodies[1], "same pinned snapshot, same bytes");
+    handle.shutdown();
+    drop(writer);
+    drop(reader);
+}
+
+#[test]
+fn delete_counts_distinct_rows_and_past_the_end_rows_are_404() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    request(addr, "PUT", "/sheets/cars", CARS_CSV);
+
+    // Repeated ids delete (and count) once.
+    let (status, body) = request(addr, "POST", "/sheets/cars/delete", "3 3");
+    assert_eq!(status, 200, "delete: {body}");
+    assert!(body.contains("\"deleted\": 1,"), "delete body: {body}");
+    let (_, body) = request(addr, "GET", "/sheets/cars", "");
+    assert!(body.contains("\"rows\": 3"), "rows after delete: {body}");
+    let (status, body) = request(addr, "POST", "/sheets/cars/delete", "0,2 0");
+    assert_eq!(status, 200, "delete: {body}");
+    assert!(body.contains("\"deleted\": 2,"), "delete body: {body}");
+
+    // A past-the-end row is an unknown resource, not a malformed request,
+    // and leaves the sheet and its version alone.
+    let (status, body) = request(addr, "POST", "/sheets/cars/delete", "0 1");
+    assert_eq!(status, 404, "past-the-end delete: {body}");
+    let (status, body) = request(addr, "POST", "/sheets/cars/cells", "1 Price 1");
+    assert_eq!(status, 404, "past-the-end cell: {body}");
+    let (_, body) = request(addr, "GET", "/sheets/cars", "");
+    assert!(body.contains("\"rows\": 1"), "rows after refusals: {body}");
+    assert!(
+        body.contains("\"version\": 2"),
+        "version after refusals: {body}"
+    );
+    handle.shutdown();
+}

@@ -40,6 +40,12 @@ fn orders(n: usize, seed: u64) -> (Relation, OrderFeed) {
     (rel, feed)
 }
 
+/// A copy of `rel` that shares no row chunk with it.
+fn deep_copy(rel: &Relation) -> Relation {
+    Relation::with_rows(rel.name(), rel.schema().clone(), rel.rows().to_vec())
+        .expect("same schema, same widths")
+}
+
 /// Query-state ops a session may apply; invalid sequences are fine —
 /// failed ops are transactional no-ops on both session and oracle.
 const OPS: &[&str] = &[
@@ -117,6 +123,57 @@ fn reader_view_is_bitwise_stable_across_writer_commits() {
 }
 
 #[test]
+fn pinned_snapshot_survives_edits_across_chunk_boundaries() {
+    let _guard = test_lock();
+    let chunk = ssa_relation::rows::CHUNK;
+    let (base, mut feed) = orders(3 * chunk + chunk / 2, 31);
+    let host = SheetHost::new(base);
+    let pinned = host.snapshot();
+    let pinned_rows = pinned.base.rows().to_vec();
+    let mut slot = session_over(&pinned);
+    for op in ["group o_orderstatus asc", "agg sum o_totalprice"] {
+        slot.script.execute(op).expect("session op");
+    }
+    let baseline = slot.script.execute("show").expect("baseline view");
+
+    // The writer's base, replayed on a plain vector.
+    let mut model = pinned_rows.clone();
+    let price = pinned
+        .base
+        .schema()
+        .index_of("o_totalprice")
+        .expect("orders has o_totalprice");
+    let boundaries = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 3 * chunk];
+    for (i, &at) in boundaries.iter().enumerate() {
+        // Appends that fill the tail chunk and open the next one.
+        let rows = feed.batch(chunk / 3);
+        host.append_rows(rows.clone()).expect("append commits");
+        model.extend(rows);
+        // One cell on each side of a chunk boundary.
+        for row in [at, at + 1] {
+            let value = ssa_relation::Value::Float(0.25 + (i * 2 + row) as f64);
+            host.update_cell(row as u32, "o_totalprice", value)
+                .expect("update commits");
+            model[row].set(price, value);
+        }
+        // Deletes straddling the boundary and the current tail.
+        let last = model.len() - 1;
+        let mut ids = vec![at as u32, at as u32 + 2, last as u32];
+        let (deleted, _) = host.delete_rows(&ids).expect("delete commits");
+        assert_eq!(deleted, 3);
+        ids.sort_unstable();
+        for &id in ids.iter().rev() {
+            model.remove(id as usize);
+        }
+
+        assert_eq!(*pinned.base.rows(), pinned_rows[..], "pinned rows moved");
+        let view = slot.script.execute("show").expect("pinned view");
+        assert_eq!(view, baseline, "pinned session saw a writer commit");
+        assert_eq!(*host.snapshot().base.rows(), model[..], "writer diverged");
+    }
+}
+
+#[test]
 fn interleaved_sessions_match_single_site_oracle() {
     let _guard = test_lock();
     let (base, mut feed) = orders(400, 23);
@@ -161,12 +218,13 @@ fn interleaved_sessions_match_single_site_oracle() {
     // the base the session pinned.
     for ((snapshot, script), (outputs, view)) in planned.iter().zip(&results) {
         let mut oracle = session_over(snapshot);
-        // Sever sharing: the oracle runs over its own deep copy.
+        // Sever sharing: the oracle runs over its own deep copy (a
+        // `Relation::clone` would still share row chunks).
         oracle
             .script
             .session
             .adopt(spreadsheet_algebra::Engine::from_sheet(Spreadsheet::over(
-                (*snapshot.base).clone(),
+                deep_copy(&snapshot.base),
             )));
         for (op, out) in script.iter().zip(outputs) {
             assert_eq!(
