@@ -52,20 +52,6 @@ impl RowStore {
         self.len
     }
 
-    /// A new tail chunk with room for `rows` rows, or for a whole chunk
-    /// when `rows` is only a lower bound and the store already fills one:
-    /// such a store likely fills the next chunk too, and growing it by
-    /// doubling would scatter the freed buffers among the rows' own
-    /// allocations.
-    fn fresh_chunk(&self, rows: usize, exact: bool) -> Vec<Tuple> {
-        let cap = if exact || self.chunks.is_empty() {
-            rows
-        } else {
-            CHUNK
-        };
-        Vec::with_capacity(cap.clamp(1, CHUNK))
-    }
-
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -82,7 +68,6 @@ impl RowStore {
         Iter {
             chunks: self.chunks.iter(),
             front: [].iter(),
-            back: [].iter(),
             remaining: self.len,
         }
     }
@@ -107,11 +92,7 @@ impl RowStore {
                 reserve_one(tail);
                 tail.push(tuple);
             }
-            _ => {
-                let mut fresh = self.fresh_chunk(1, false);
-                fresh.push(tuple);
-                self.chunks.push(Arc::new(fresh));
-            }
+            _ => self.chunks.push(Arc::new(vec![tuple])),
         }
         self.len += 1;
     }
@@ -322,8 +303,7 @@ impl Extend<Tuple> for RowStore {
                 Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail),
                 _ => {
                     let Some(t) = iter.next() else { return };
-                    let (lo, hi) = iter.size_hint();
-                    let mut fresh = self.fresh_chunk(lo + 1, hi == Some(lo));
+                    let mut fresh = Vec::with_capacity((iter.size_hint().0 + 1).min(CHUNK));
                     fresh.push(t);
                     self.len += 1;
                     self.chunks.push(Arc::new(fresh));
@@ -392,7 +372,6 @@ impl fmt::Debug for RowStore {
 pub struct Iter<'a> {
     chunks: std::slice::Iter<'a, Arc<Vec<Tuple>>>,
     front: std::slice::Iter<'a, Tuple>,
-    back: std::slice::Iter<'a, Tuple>,
     remaining: usize,
 }
 
@@ -405,38 +384,12 @@ impl<'a> Iterator for Iter<'a> {
                 self.remaining -= 1;
                 return Some(t);
             }
-            match self.chunks.next() {
-                Some(c) => self.front = c.iter(),
-                None => {
-                    let t = self.back.next()?;
-                    self.remaining -= 1;
-                    return Some(t);
-                }
-            }
+            self.front = self.chunks.next()?.iter();
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
-    }
-}
-
-impl DoubleEndedIterator for Iter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(t) = self.back.next_back() {
-                self.remaining -= 1;
-                return Some(t);
-            }
-            match self.chunks.next_back() {
-                Some(c) => self.back = c.iter(),
-                None => {
-                    let t = self.front.next_back()?;
-                    self.remaining -= 1;
-                    return Some(t);
-                }
-            }
-        }
     }
 }
 
@@ -497,16 +450,12 @@ mod tests {
     }
 
     #[test]
-    fn iterator_meets_in_the_middle() {
+    fn iterates_in_row_order_across_chunks() {
         let s = store(2 * CHUNK + 3);
         let mut it = s.iter();
         assert_eq!(it.len(), s.len());
-        let mut seen = 0;
-        while let (Some(a), Some(b)) = (it.next(), it.next_back()) {
-            assert!(a.get(0) < b.get(0));
-            seen += 2;
-        }
-        assert_eq!(seen + it.len(), s.len() - (s.len() % 2));
+        assert!((0..s.len()).all(|i| it.next() == Some(&row(i as i64))));
+        assert_eq!((it.len(), it.next()), (0, None));
         assert_eq!(
             format!("{:?}", store(2)),
             format!("{:?}", vec![row(0), row(1)])
