@@ -529,12 +529,12 @@ impl CacheEntry {
             }
         }
         drop(inputs);
-        for (r, row) in canonical.rows_mut().iter_mut().enumerate() {
-            row.set(idx, per_group[gc.gid[r] as usize]);
-        }
-        for (j, row) in derived.data.rows_mut().iter_mut().enumerate() {
+        canonical
+            .rows_mut()
+            .for_each_mut(|r, row| row.set(idx, per_group[gc.gid[r] as usize]));
+        derived.data.rows_mut().for_each_mut(|j, row| {
             row.set(idx, per_group[gc.gid[perm[j] as usize] as usize]);
-        }
+        });
         canonical.schema_mut().set_column_type(idx, ty);
         derived.data.schema_mut().set_column_type(idx, ty);
         Ok(())
@@ -790,9 +790,9 @@ impl CacheEntry {
                     }
                     _ => {
                         let (values, _) = compute_column_values(&self.canonical, col, threshold)?;
-                        for (row, v) in self.canonical.rows_mut().iter_mut().zip(&values) {
-                            row.set(idx, *v);
-                        }
+                        self.canonical
+                            .rows_mut()
+                            .for_each_mut(|i, row| row.set(idx, values[i]));
                         refreshed.push(idx);
                     }
                 }
@@ -813,9 +813,9 @@ impl CacheEntry {
         // permutation (derived row j is canonical row perm[j]).
         for &idx in &refreshed {
             let canonical_rows = self.canonical.rows();
-            for (j, row) in self.derived.data.rows_mut().iter_mut().enumerate() {
+            self.derived.data.rows_mut().for_each_mut(|j, row| {
                 row.set(idx, *canonical_rows[perm[j] as usize].get(idx));
-            }
+            });
         }
         // `result_schema` types each computed column by unifying its
         // surviving values; match it so `Derived` equality holds. The

@@ -261,18 +261,16 @@ impl Relation {
             .map(|(i, t)| fill(i, t))
             .collect();
         self.schema.push(column)?;
-        for (t, v) in self.rows.iter_mut().zip(values) {
-            t.push(v);
-        }
+        self.rows.for_each_mut(|i, t| t.push(values[i]));
         Ok(())
     }
 
     /// Remove a column and its values from every row.
     pub fn drop_column(&mut self, name: &str) -> Result<()> {
         let idx = self.schema.remove(name)?;
-        for t in self.rows.iter_mut() {
+        self.rows.for_each_mut(|_, t| {
             t.remove(idx);
-        }
+        });
         Ok(())
     }
 

@@ -72,12 +72,16 @@ impl RowStore {
         }
     }
 
-    /// Mutable access to every row in order. Copies each chunk some other
-    /// store still shares.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Tuple> + '_ {
-        self.chunks
-            .iter_mut()
-            .flat_map(|c| Arc::make_mut(c).iter_mut())
+    /// Call `f(i, row)` on every row in order, mutably. Checks each chunk
+    /// out once (copying it if another store still shares it) and walks
+    /// it as a plain slice.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut Tuple)) {
+        for (k, chunk) in self.chunks.iter_mut().enumerate() {
+            let base = k << CHUNK_SHIFT;
+            for (o, row) in Arc::make_mut(chunk).iter_mut().enumerate() {
+                f(base + o, row);
+            }
+        }
     }
 
     pub fn to_vec(&self) -> Vec<Tuple> {
@@ -123,12 +127,22 @@ impl RowStore {
     /// once, so ascending rows cost one copy-on-write check per chunk.
     /// Panics on an out-of-range row, like slice indexing.
     pub fn set_each(&mut self, rows: impl IntoIterator<Item = usize>, col: usize, value: Value) {
-        let mut rows = rows.into_iter().peekable();
-        while let Some(&first) = rows.peek() {
-            let k = first >> CHUNK_SHIFT;
-            let chunk = Arc::make_mut(&mut self.chunks[k]);
-            while let Some(row) = rows.next_if(|&r| r >> CHUNK_SHIFT == k) {
+        let mut rows = rows.into_iter();
+        let Some(mut row) = rows.next() else {
+            return;
+        };
+        loop {
+            let k = row >> CHUNK_SHIFT;
+            let chunk = Arc::make_mut(&mut self.chunks[k]).as_mut_slice();
+            loop {
                 chunk[row & CHUNK_MASK].set(col, value);
+                match rows.next() {
+                    None => return,
+                    Some(next) => row = next,
+                }
+                if row >> CHUNK_SHIFT != k {
+                    break;
+                }
             }
         }
     }
