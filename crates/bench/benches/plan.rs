@@ -90,7 +90,12 @@ fn unplanned(inputs: &[&Relation], condition: &Expr) -> Relation {
             filters.push(conj.clone());
         }
     }
-    let mut cur = inputs[0].clone();
+    // The recorded baselines include a full copy of the first input. A
+    // `Relation::clone` shares row chunks, so copy the rows explicitly to
+    // keep that work, and the recorded speedups, comparable.
+    let first = inputs[0];
+    let mut cur = Relation::with_rows(first.name(), first.schema().clone(), first.rows().to_vec())
+        .expect("same schema, same widths");
     for rhs in &inputs[1..] {
         let cond = Expr::conjoin(
             joins

@@ -229,6 +229,16 @@ impl Accum {
     }
 }
 
+/// The rows a delete of `ids` removes: each distinct id once, ascending.
+/// [`Spreadsheet::delete_rows`] deletes exactly these, so their count is
+/// the number of rows a successful delete removed.
+pub fn distinct_row_ids(ids: &[u32]) -> Vec<u32> {
+    let mut ids = ids.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// Resolve the spec's presentation sort columns against the canonical
 /// schema: `(column index, descending)` per key, outermost first.
 fn resolve_sort_idx(spec: &Spec, canonical: &Relation) -> Result<Vec<(usize, bool)>> {
@@ -2130,9 +2140,7 @@ impl Spreadsheet {
     /// row-provenance map when sound. Returns the number of rows
     /// deleted. On failure the rows are reinserted — a no-op.
     pub fn delete_rows(&mut self, ids: &[u32]) -> Result<usize> {
-        let mut ids: Vec<u32> = ids.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
+        let ids = distinct_row_ids(ids);
         if ids.is_empty() {
             return Ok(0);
         }

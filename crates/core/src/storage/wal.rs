@@ -647,6 +647,18 @@ mod tests {
         dir
     }
 
+    /// Serialize against the fault-injection registry when it is compiled
+    /// in: armed sites are process-global, so a test that commits must
+    /// not run while another has `wal.append` armed.
+    #[cfg(feature = "fault-injection")]
+    fn test_lock() -> Option<std::sync::MutexGuard<'static, ()>> {
+        Some(ssa_relation::fault::lock())
+    }
+    #[cfg(not(feature = "fault-injection"))]
+    fn test_lock() -> Option<()> {
+        None
+    }
+
     fn select_op(min_price: i64) -> SheetOp {
         SheetOp::Select {
             predicate: Expr::col("Price").gt(Expr::lit(min_price)),
@@ -670,6 +682,7 @@ mod tests {
 
     #[test]
     fn commit_persists_and_reopen_recovers() {
+        let _lock = test_lock();
         let dir = tmp_dir("roundtrip");
         let path = dir.join("cars.ssab");
         let fp = {
@@ -692,6 +705,7 @@ mod tests {
 
     #[test]
     fn torn_final_frame_is_trimmed_and_earlier_ops_survive() {
+        let _lock = test_lock();
         let dir = tmp_dir("torn-tail");
         let path = dir.join("cars.ssab");
         let fp_one = {
@@ -717,6 +731,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_a_typed_error() {
+        let _lock = test_lock();
         let dir = tmp_dir("mid-log");
         let path = dir.join("cars.ssab");
         {
@@ -756,6 +771,7 @@ mod tests {
 
     #[test]
     fn compaction_rewrites_snapshot_and_empties_log() {
+        let _lock = test_lock();
         let dir = tmp_dir("compact");
         let path = dir.join("cars.ssab");
         let fp = {
@@ -780,6 +796,7 @@ mod tests {
 
     #[test]
     fn absorb_persists_merged_events() {
+        let _lock = test_lock();
         let dir = tmp_dir("absorb");
         let path_a = dir.join("a.ssab");
         let mut a = DurableSheet::create(&path_a, 1, used_cars(), FsyncPolicy::Always).expect("a");

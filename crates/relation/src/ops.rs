@@ -235,6 +235,13 @@ pub(crate) fn choose_build_left(
     l + sort_penalty < r
 }
 
+/// `ids` (a contiguous ascending run of row ids) paired with their rows
+/// of `rel`, walked with one iterator instead of a lookup per id.
+fn run<'r>(ids: &'r [u32], rel: &'r Relation) -> impl Iterator<Item = (u32, &'r Tuple)> + 'r {
+    let first = ids.first().map_or(0, |&i| i as usize);
+    ids.iter().copied().zip(rel.rows().iter_from(first))
+}
+
 /// Build/probe core: hash one operand on its key tuple (side chosen by
 /// [`choose_build_left`]), probe the other, run the bound residual on
 /// candidates. Emits pairs in the nested loop's order (left-major); when
@@ -266,13 +273,13 @@ fn hash_pairs(
     // Partitioned build: per-chunk tables merged in chunk order, so each
     // key's candidate list stays sorted by build-row index. Rows with a
     // NULL in any key column can never satisfy the equality conjunct
-    // (NULL = x is NULL, not TRUE) and stay out of the table.
+    // (NULL = x is NULL, not TRUE) and stay out of the table. The ids are
+    // `0..len`, so each worker's chunk is a contiguous [`run`].
     let bids: Vec<u32> = (0..build.len() as u32).collect();
     let threshold = parallel_threshold.max(1);
     let partials = chunk_map(&bids, build.len() >= threshold, |chunk| {
         let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for &bi in chunk {
-            let t = &build.rows()[bi as usize];
+        for (bi, t) in run(chunk, build) {
             if build_keys.iter().any(|&k| t.get(k).is_null()) {
                 continue;
             }
@@ -297,8 +304,7 @@ fn hash_pairs(
         |chunk| -> Result<Vec<(u32, u32)>> {
             let mut out = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
-            for &pi in chunk {
-                let t = &probe.rows()[pi as usize];
+            for (pi, t) in run(chunk, probe) {
                 if probe_keys.iter().any(|&k| t.get(k).is_null()) {
                     continue;
                 }
@@ -308,18 +314,20 @@ fn hash_pairs(
                     continue;
                 };
                 for &bi in candidates {
-                    let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
-                    let row = PairRow {
-                        left: &left.rows()[li as usize],
-                        right: &right.rows()[ri as usize],
-                        left_width,
-                    };
                     let keep = match residual {
-                        Some(e) => e.matches(&row)?,
+                        Some(e) => {
+                            let b = &build.rows()[bi as usize];
+                            let (left, right) = if build_left { (b, t) } else { (t, b) };
+                            e.matches(&PairRow {
+                                left,
+                                right,
+                                left_width,
+                            })?
+                        }
                         None => true,
                     };
                     if keep {
-                        out.push((li, ri));
+                        out.push(if build_left { (bi, pi) } else { (pi, bi) });
                     }
                 }
             }

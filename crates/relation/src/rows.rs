@@ -43,6 +43,18 @@ fn reserve_one(chunk: &mut Vec<Tuple>) {
     }
 }
 
+/// Check a chunk out for writing about `room` more rows into it. A chunk
+/// another store still holds is copied with that room reserved, so the
+/// copy does not reallocate on its first push.
+fn checkout(chunk: &mut Arc<Vec<Tuple>>, room: usize) -> &mut Vec<Tuple> {
+    if Arc::strong_count(chunk) > 1 {
+        let mut copy = Vec::with_capacity((chunk.len() + room).min(CHUNK));
+        copy.extend_from_slice(chunk);
+        *chunk = Arc::new(copy);
+    }
+    Arc::make_mut(chunk)
+}
+
 impl RowStore {
     pub fn new() -> RowStore {
         RowStore::default()
@@ -65,10 +77,22 @@ impl RowStore {
     }
 
     pub fn iter(&self) -> Iter<'_> {
+        self.iter_from(0)
+    }
+
+    /// Iterate the rows from index `start` on (nothing if `start` is past
+    /// the end).
+    pub fn iter_from(&self, start: usize) -> Iter<'_> {
+        let start = start.min(self.len);
+        let mut chunks = self.chunks[start >> CHUNK_SHIFT..].iter();
+        let front = match chunks.next() {
+            Some(c) => c[start & CHUNK_MASK..].iter(),
+            None => [].iter(),
+        };
         Iter {
-            chunks: self.chunks.iter(),
-            front: [].iter(),
-            remaining: self.len,
+            chunks,
+            front,
+            remaining: self.len - start,
         }
     }
 
@@ -92,7 +116,7 @@ impl RowStore {
     pub fn push(&mut self, tuple: Tuple) {
         match self.chunks.last_mut() {
             Some(tail) if tail.len() < CHUNK => {
-                let tail = Arc::make_mut(tail);
+                let tail = checkout(tail, 1);
                 reserve_one(tail);
                 tail.push(tuple);
             }
@@ -162,7 +186,7 @@ impl RowStore {
         let mut carry = tuple;
         let (mut k, mut off) = (at >> CHUNK_SHIFT, at & CHUNK_MASK);
         while k < self.chunks.len() {
-            let chunk = Arc::make_mut(&mut self.chunks[k]);
+            let chunk = checkout(&mut self.chunks[k], 1);
             let spill = if chunk.len() == CHUNK {
                 chunk.pop()
             } else {
@@ -309,31 +333,26 @@ impl Index<usize> for RowStore {
 
 impl Extend<Tuple> for RowStore {
     /// Fills the tail chunk, then fresh chunks sized from the iterator's
-    /// lower size bound, one chunk at a time.
+    /// lower size bound, one chunk at a time. A chunk is checked out only
+    /// once a row for it is in hand, so an empty extend copies nothing.
     fn extend<I: IntoIterator<Item = Tuple>>(&mut self, iter: I) {
-        let mut iter = iter.into_iter();
-        loop {
-            let tail = match self.chunks.last_mut() {
-                Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail),
-                _ => {
-                    let Some(t) = iter.next() else { return };
-                    let mut fresh = Vec::with_capacity((iter.size_hint().0 + 1).min(CHUNK));
-                    fresh.push(t);
-                    self.len += 1;
-                    self.chunks.push(Arc::new(fresh));
-                    continue;
-                }
+        let mut iter = iter.into_iter().peekable();
+        while iter.peek().is_some() {
+            let room = iter.size_hint().0.max(1);
+            if self.chunks.last().is_none_or(|tail| tail.len() == CHUNK) {
+                self.chunks
+                    .push(Arc::new(Vec::with_capacity(room.min(CHUNK))));
+            }
+            let Some(tail) = self.chunks.last_mut() else {
+                return;
             };
+            let tail = checkout(tail, room);
             let before = tail.len();
             for t in iter.by_ref().take(CHUNK - before) {
                 reserve_one(tail);
                 tail.push(t);
             }
-            let added = tail.len() - before;
-            self.len += added;
-            if before + added < CHUNK {
-                return;
-            }
+            self.len += tail.len() - before;
         }
     }
 }
@@ -451,6 +470,14 @@ mod tests {
             "full tail stays shared"
         );
 
+        let mut extended = base.clone();
+        extended.extend(std::iter::empty());
+        assert_eq!(
+            shared(&base, &extended),
+            vec![true; chunks],
+            "an empty extend copies nothing"
+        );
+
         let mut updated = base.clone();
         updated.set(2 * CHUNK + 7, 0, Value::Int(0));
         let mut want = vec![true; chunks];
@@ -466,6 +493,14 @@ mod tests {
     #[test]
     fn iterates_in_row_order_across_chunks() {
         let s = store(2 * CHUNK + 3);
+        for start in [0, 5, CHUNK, 2 * CHUNK + 2, 2 * CHUNK + 3, 9 * CHUNK] {
+            let want: Vec<Tuple> = (start.min(s.len())..s.len())
+                .map(|i| row(i as i64))
+                .collect();
+            assert_eq!(s.iter_from(start).len(), want.len());
+            assert!(s.iter_from(start).eq(want.iter()), "from {start}");
+        }
+        assert_eq!(store(CHUNK).iter_from(CHUNK).next(), None);
         let mut it = s.iter();
         assert_eq!(it.len(), s.len());
         assert!((0..s.len()).all(|i| it.next() == Some(&row(i as i64))));

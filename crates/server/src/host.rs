@@ -30,6 +30,7 @@
 
 use sheetmusiq::{ScriptHost, Session};
 use spreadsheet_algebra::replica::{decode_sync, encode_sync};
+use spreadsheet_algebra::sheet::distinct_row_ids;
 use spreadsheet_algebra::{
     DurableSheet, Engine, FsyncPolicy, OpEvent, PagedSheet, Result, SheetError, SheetOp,
     VersionVector,
@@ -182,15 +183,13 @@ impl SheetHost {
         Ok((n, version))
     }
 
-    /// Delete base rows by id; returns (rows deleted, new version). A
-    /// delete removes every distinct id or, on an out-of-range id, none,
-    /// so repeated ids count once.
+    /// Delete base rows by id; returns (rows deleted, new version).
+    /// Repeated ids count once.
     pub fn delete_rows(&self, ids: &[u32]) -> Result<(usize, u64)> {
-        let mut distinct = ids.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let (_, version) = self.apply_op(SheetOp::DeleteRows { ids: ids.to_vec() })?;
-        Ok((distinct.len(), version))
+        let ids = distinct_row_ids(ids);
+        let n = ids.len();
+        let (_, version) = self.apply_op(SheetOp::DeleteRows { ids })?;
+        Ok((n, version))
     }
 
     /// Update one base cell; returns the new version.
