@@ -24,13 +24,20 @@
 //! latency versus the quiet 4-thread run — the "reads are unaffected by
 //! writes" claim, with < 2x as the acceptance ceiling.
 //!
+//! The `refresh_after_4_writes` entry times a session refresh plus its
+//! view after four writer commits (append, cell update, append, delete)
+//! for the `feed` dashboard (group by status, average price per group, a
+//! selective price filter): the delta-aware refresh that patches the
+//! session's warm cache with the published edits, against the full
+//! re-evaluation a re-pin without the edits pays (`full_p50_ms`).
+//!
 //! Results go to console and `BENCH_server.json` at the repository
 //! root. `SSA_BENCH_FAST=1` runs a smoke configuration (the JSON is
 //! then marked `"fast": true`).
 
 use spreadsheet_algebra::prelude::*;
-use ssa_relation::Relation;
-use ssa_server::SheetHost;
+use ssa_relation::{Relation, Value};
+use ssa_server::{session_over, ServerState, SheetHost};
 use ssa_tpch::{schema, FeedConfig, OrderFeed};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -134,6 +141,69 @@ fn run_reads(
     (wall.elapsed().as_secs_f64(), latencies)
 }
 
+/// The `feed` dashboard's gestures: group by status, average price per
+/// group, and a price filter that passes about 1% of the orders.
+const DASHBOARD: &[&str] = &[
+    "group o_orderstatus asc",
+    "agg avg o_totalprice 2",
+    "select o_totalprice > 178000",
+];
+
+/// Per-round (delta-aware refresh + view, full re-pin + view) times in
+/// ms: each round commits an append, a cell update, an append and a
+/// delete, then brings one dashboard session current each way. The two
+/// views must agree before anything is timed.
+fn refresh_rounds(base: Relation, feed: &mut OrderFeed, rounds: usize) -> (Vec<f64>, Vec<f64>) {
+    let len = base.len();
+    let state = ServerState::new();
+    state.create_sheet(base).expect("host the sheet");
+    let host = state.host("orders").expect("hosted sheet");
+    let (id, _) = state.create_session("orders").expect("open a session");
+    let slot = state.session(id).expect("live session");
+    let mut full = session_over(&host.snapshot());
+    for line in DASHBOARD {
+        slot.lock()
+            .expect("session lock")
+            .script
+            .execute(line)
+            .expect("dashboard gesture");
+        full.script.execute(line).expect("dashboard gesture");
+    }
+    let mut patched_ms = Vec::with_capacity(rounds);
+    let mut full_ms = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let row = ((round * 7919) % len) as u32;
+        host.append_rows(feed.batch(1)).expect("append commits");
+        host.update_cell(row, "o_totalprice", Value::Float(178_500.0 + round as f64))
+            .expect("update commits");
+        host.append_rows(feed.batch(1)).expect("append commits");
+        host.delete_rows(&[row / 2]).expect("delete commits");
+
+        let start = Instant::now();
+        state.refresh_session(id).expect("refresh");
+        let mut guard = slot.lock().expect("session lock");
+        let engine = guard.script.session.engine().expect("session engine");
+        engine.view().expect("refreshed view");
+        patched_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let patched = engine.view().expect("cached view").clone();
+
+        let base = host.snapshot().base.clone();
+        let engine = full.script.session.engine().expect("session engine");
+        let start = Instant::now();
+        engine
+            .sheet_mut()
+            .rebase_with(base, None)
+            .expect("full re-pin");
+        let fresh = engine.view().expect("re-evaluated view");
+        full_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(
+            &patched, fresh,
+            "patched refresh != full re-evaluation — bench aborted"
+        );
+    }
+    (patched_ms, full_ms)
+}
+
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
@@ -189,6 +259,7 @@ fn main() {
 
     let mut reads: Vec<ReadRow> = Vec::new();
     let mut writes: Vec<(usize, usize, f64, f64, f64)> = Vec::new();
+    let mut refreshes: Vec<(usize, usize, f64, f64, f64)> = Vec::new();
 
     for &n in sizes {
         let (host, mut feed) = orders_host(n);
@@ -267,6 +338,22 @@ fn main() {
             ));
         }
 
+        // Dashboard refresh after four commits, on a host of its own over
+        // a private copy of the base, so its writes never touch the read
+        // host's chunks.
+        let rounds = if fast { 20 } else { 100 };
+        let (mut patched, mut full) =
+            refresh_rounds(deep_copy(&host.snapshot().base), &mut feed, rounds);
+        patched.sort_by(|a, b| a.total_cmp(b));
+        full.sort_by(|a, b| a.total_cmp(b));
+        let (p50, full_p50) = (percentile(&patched, 0.50), percentile(&full, 0.50));
+        println!(
+            "server/{n:>6} rows/refresh_after_4_writes   p50 {p50:.3} ms  full re-eval p50 \
+             {full_p50:.3} ms  speedup {:.1}x",
+            full_p50 / p50
+        );
+        refreshes.push((n, rounds, p50, percentile(&patched, 0.99), full_p50));
+
         // Session fork cost: O(1) Arc fork vs the baseline deep copy.
         let snapshot = host.snapshot();
         let samples = if fast { 20 } else { 100 };
@@ -324,7 +411,9 @@ fn main() {
          group + avg + view on TPC-H orders; speedup = read throughput at the entry's \
          thread count vs the 1-thread pre-refactor baseline (session open deep-copies the \
          base and each gesture's undo snapshot deep-copies it again); p99_ratio = \
-         4-thread read p99 with a writer streaming paced 100-row appends vs quiet\",\n",
+         4-thread read p99 with a writer streaming paced 100-row appends vs quiet; \
+         refreshes = dashboard session refresh + view after 4 commits, delta-aware \
+         patch vs full re-evaluation (full_p50_ms)\",\n",
     );
     json.push_str(&format!("  \"fast\": {fast},\n"));
     json.push_str("  \"reads\": [\n");
@@ -354,6 +443,17 @@ fn main() {
             "    {{\"rows\": {rows}, \"scenario\": \"append_100_commit\", \"commits\": {commits}, \
              \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \"final_version\": {version}}}{}\n",
             if i + 1 < writes.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"refreshes\": [\n");
+    for (i, (rows, rounds, p50, p99, full_p50)) in refreshes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"rows\": {rows}, \"scenario\": \"refresh_after_4_writes\", \
+             \"refreshes\": {rounds}, \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \
+             \"full_p50_ms\": {full_p50:.3}, \"speedup\": {:.2}}}{}\n",
+            full_p50 / p50,
+            if i + 1 < refreshes.len() { "," } else { "" },
         ));
     }
     json.push_str("  ]\n}\n");

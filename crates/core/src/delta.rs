@@ -104,6 +104,18 @@ pub enum StateDelta {
         /// How many cells the edit overwrote.
         count: usize,
     },
+    /// The sheet was re-pinned to a newer snapshot of its base by
+    /// patching the cache with the base edits committed in between
+    /// (their net effect: surviving appended rows, deleted rows of the
+    /// old base, overwritten cells of its surviving rows).
+    Rebased {
+        /// Appended rows that survive in the new base.
+        appended: usize,
+        /// Rows of the old base the edits deleted.
+        deleted: usize,
+        /// Overwritten cells of surviving old-base rows.
+        updated: usize,
+    },
     /// No sound shortcut: re-run the full pipeline.
     Full {
         /// Why the classifier fell back (for tests and debugging).
@@ -130,6 +142,14 @@ impl std::fmt::Display for StateDelta {
             StateDelta::RowsAppended { count } => write!(f, "rows appended ({count})"),
             StateDelta::RowsDeleted { count } => write!(f, "rows deleted ({count})"),
             StateDelta::CellsUpdated { count } => write!(f, "cells updated ({count})"),
+            StateDelta::Rebased {
+                appended,
+                deleted,
+                updated,
+            } => write!(
+                f,
+                "rebased ({appended} appended, {deleted} deleted, {updated} cells updated)"
+            ),
             StateDelta::Full { reason } => write!(f, "full ({reason})"),
         }
     }

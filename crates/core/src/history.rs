@@ -10,6 +10,7 @@
 
 use crate::error::{Result, SheetError};
 use crate::eval::Derived;
+use crate::replica::SheetOp;
 use crate::sheet::{Spreadsheet, StoredSheet};
 use crate::spec::Direction;
 use crate::state::QueryState;
@@ -208,6 +209,22 @@ impl Engine {
     /// Evaluated view of the current sheet.
     pub fn view(&mut self) -> Result<&Derived> {
         self.sheet.view()
+    }
+
+    /// Re-pin the sheet to a newer snapshot of its base (see
+    /// [`Spreadsheet::rebase_with`]). Undo/redo snapshots that hold the
+    /// base being replaced are re-pointed to the new one, so stepping
+    /// through history moves query state only: it never brings back
+    /// superseded data, and old history does not keep old rows alive.
+    pub fn rebase_with(&mut self, base: Arc<Relation>, edits: Option<&[SheetOp]>) -> Result<()> {
+        let old = self.sheet.base_arc();
+        self.sheet.rebase_with(Arc::clone(&base), edits)?;
+        for (_, snapshot) in self.undo_stack.iter_mut().chain(&mut self.redo_stack) {
+            if Arc::ptr_eq(&snapshot.0, &old) {
+                snapshot.0 = Arc::clone(&base);
+            }
+        }
+        Ok(())
     }
 
     /// The numbered history listing (most recent last).

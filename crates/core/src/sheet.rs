@@ -16,6 +16,7 @@ use crate::eval::{
     compute_column_values, evaluate_full_with, evaluate_with, filter_relation, visible_columns,
     Derived, EvalOptions,
 };
+use crate::replica::SheetOp;
 use crate::spec::{Direction, GroupLevel, OrderKey, Spec};
 use crate::state::{volatile_columns, QueryState};
 use crate::tree::build_tree;
@@ -237,6 +238,95 @@ pub fn distinct_row_ids(ids: &[u32]) -> Vec<u32> {
     ids.sort_unstable();
     ids.dedup();
     ids
+}
+
+/// The net effect of a run of committed base edits on the base they
+/// started from. Appends only add at the tail and deletes only remove,
+/// so the final base is the surviving old rows, in order and with their
+/// overwritten cells, followed by the surviving appended rows. A refresh
+/// patches the cache in that order, reading every row from the final
+/// base, instead of replaying positions that later deletes shifted.
+#[derive(Debug, PartialEq)]
+struct NetEdits {
+    /// Old-base positions of the deleted rows, ascending.
+    deleted: Vec<u32>,
+    /// `(final position, column)` of each overwritten cell of a
+    /// surviving old row.
+    updated: BTreeSet<(u32, String)>,
+    /// Final position of the first surviving appended row.
+    first_appended: usize,
+    /// How many appended rows survive.
+    appended: usize,
+}
+
+impl NetEdits {
+    /// `None` when an edit is not a base edit or names a row the
+    /// intermediate base did not have.
+    fn of(old_len: usize, edits: &[SheetOp]) -> Option<NetEdits> {
+        let mut deleted: BTreeSet<u32> = BTreeSet::new();
+        let mut updated: BTreeSet<(u32, String)> = BTreeSet::new();
+        let mut alive: Vec<bool> = Vec::new();
+        // Where intermediate position `p` came from: `Ok(old position)`
+        // or `Err(index of the append)`.
+        let origin = |p: u32, deleted: &BTreeSet<u32>, alive: &[bool]| {
+            let survivors = old_len - deleted.len();
+            match (p as usize).checked_sub(survivors) {
+                None => {
+                    let mut o = p;
+                    for &d in deleted {
+                        if d > o {
+                            break;
+                        }
+                        o += 1;
+                    }
+                    Some(Ok(o))
+                }
+                Some(k) => alive
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &a)| a)
+                    .nth(k)
+                    .map(|(i, _)| Err(i)),
+            }
+        };
+        for edit in edits {
+            match edit {
+                SheetOp::AppendRows { rows } => alive.resize(alive.len() + rows.len(), true),
+                SheetOp::UpdateCell { row, column, .. } => {
+                    // An appended row is read whole from the final base.
+                    if let Ok(o) = origin(*row, &deleted, &alive)? {
+                        updated.insert((o, column.clone()));
+                    }
+                }
+                SheetOp::DeleteRows { ids } => {
+                    let origins: Vec<_> = distinct_row_ids(ids)
+                        .into_iter()
+                        .map(|p| origin(p, &deleted, &alive))
+                        .collect::<Option<_>>()?;
+                    for o in origins {
+                        match o {
+                            Ok(o) => {
+                                deleted.insert(o);
+                            }
+                            Err(i) => alive[i] = false,
+                        }
+                    }
+                }
+                _ => return None,
+            }
+        }
+        let updated = updated
+            .into_iter()
+            .filter(|(o, _)| !deleted.contains(o))
+            .map(|(o, column)| (o - deleted.range(..o).count() as u32, column))
+            .collect();
+        Some(NetEdits {
+            first_appended: old_len - deleted.len(),
+            appended: alive.iter().filter(|&&a| a).count(),
+            deleted: deleted.into_iter().collect(),
+            updated,
+        })
+    }
 }
 
 /// Resolve the spec's presentation sort columns against the canonical
@@ -1796,7 +1886,8 @@ impl Spreadsheet {
             | StateDelta::Full { .. }
             | StateDelta::RowsAppended { .. }
             | StateDelta::RowsDeleted { .. }
-            | StateDelta::CellsUpdated { .. } => return Ok(CachePath::Miss),
+            | StateDelta::CellsUpdated { .. }
+            | StateDelta::Rebased { .. } => return Ok(CachePath::Miss),
         };
         Ok(CachePath::Patched(kind))
     }
@@ -3047,10 +3138,22 @@ impl Spreadsheet {
     /// the accumulated query state (the paper's Sec. II-B: "tuples in R
     /// can be changed anytime, and the spreadsheet always retrieves the
     /// latest data"). The columns of `R` are fixed for the lifetime of a
-    /// sheet, so the schemas must match exactly. Transactional: a state
-    /// that cannot evaluate over the new data (a data-dependent formula
-    /// failure, say) leaves the sheet on its old base.
-    pub fn rebase(&mut self, base: Arc<Relation>) -> Result<()> {
+    /// sheet, so the schemas must match exactly.
+    ///
+    /// `edits` are the base edits committed between the current base and
+    /// `base`, oldest first, or `None` when they are unknown. The warm
+    /// cache is patched with their net effect through the §14 streaming
+    /// paths, reading rows from `base` itself, so no base row is copied.
+    /// Every case the patch cannot take drops the cache instead (the next
+    /// `view` re-evaluates in full) and names why in [`Self::last_delta`]:
+    /// unknown edits, a §14 patch-block reason (no cache, dedup, a
+    /// selection reading an aggregate, ...), edits that do not lead to
+    /// `base`, or a patch that failed part-way.
+    ///
+    /// Transactional: a state that cannot evaluate over the new data (a
+    /// data-dependent formula failure, say) leaves the sheet on its old
+    /// base.
+    pub fn rebase_with(&mut self, base: Arc<Relation>, edits: Option<&[SheetOp]>) -> Result<()> {
         if base.schema() != self.base.schema() {
             return Err(SheetError::NotCompatible {
                 detail: format!("rebase of `{}` must keep the base columns fixed", self.name),
@@ -3059,14 +3162,72 @@ impl Spreadsheet {
         if Arc::ptr_eq(&base, &self.base) {
             return Ok(());
         }
+        let reason = match edits {
+            None => "refresh gap not in the published edit list",
+            Some(edits) => match self.patch_rebase(&base, edits) {
+                Ok(delta) => {
+                    self.version += 1;
+                    self.last_delta = delta;
+                    if self.audit {
+                        self.audit_cache("rebased")?;
+                    }
+                    return Ok(());
+                }
+                Err(reason) => reason,
+            },
+        };
+        self.rebase_full(base, reason)
+    }
+
+    /// The patch path of [`Self::rebase_with`]: on success the sheet sits
+    /// on `base` with a current cache; on failure it is back on its old
+    /// base (cache possibly dropped) and the reason is returned.
+    fn patch_rebase(
+        &mut self,
+        base: &Arc<Relation>,
+        edits: &[SheetOp],
+    ) -> std::result::Result<StateDelta, &'static str> {
+        const FAILED: &str = "refresh patch failed";
+        // The edits say how the data moved, not the state: a cache left
+        // stale by an unseen state edit must be brought current first.
+        if self.incremental && !self.eval_opts.naive && self.cache.is_some() && self.view().is_err()
+        {
+            return Err(FAILED);
+        }
+        if let Some(reason) = self.base_patch_block() {
+            return Err(reason);
+        }
+        let net = NetEdits::of(self.base.len(), edits)
+            .filter(|net| net.first_appended + net.appended == base.len())
+            .ok_or("refresh edits do not lead to the new base")?;
+        let old_base = std::mem::replace(&mut self.base, Arc::clone(base));
+        let patched = (|| {
+            if !net.deleted.is_empty() {
+                self.patch_base_delete(&net.deleted)?;
+            }
+            for (row, column) in &net.updated {
+                self.patch_base_update(*row, column)?;
+            }
+            self.patch_base_append(net.first_appended, net.appended)
+        })();
+        if patched.is_err() {
+            self.base = old_base;
+            self.cache = None;
+            return Err(FAILED);
+        }
+        Ok(StateDelta::Rebased {
+            appended: net.appended,
+            deleted: net.deleted.len(),
+            updated: net.updated.len(),
+        })
+    }
+
+    /// The fallback of [`Self::rebase_with`]: swap to `base`, drop the
+    /// cache and record `Full { reason }`.
+    fn rebase_full(&mut self, base: Arc<Relation>, reason: &'static str) -> Result<()> {
         let old_base = std::mem::replace(&mut self.base, base);
         let old_cache = self.cache.take();
-        let old_delta = std::mem::replace(
-            &mut self.last_delta,
-            StateDelta::Full {
-                reason: "base data changed",
-            },
-        );
+        let old_delta = std::mem::replace(&mut self.last_delta, StateDelta::Full { reason });
         if let Err(e) = self.trial_eval() {
             self.base = old_base;
             self.cache = old_cache;
@@ -3857,5 +4018,104 @@ mod tests {
             }
         );
         assert_eq!(s.view().unwrap().len(), 10);
+    }
+
+    #[test]
+    fn net_edits_translate_positions_through_later_deletes() {
+        let row = tuple![999, "Jetta", 15500, 2005, 60000, "Good"];
+        let update = |row: u32| SheetOp::UpdateCell {
+            row,
+            column: "Price".to_string(),
+            value: Value::Int(1),
+        };
+        let edits = [
+            SheetOp::AppendRows {
+                rows: vec![row.clone(), row],
+            },
+            update(6),                               // an appended row
+            update(1),                               // old row 1, deleted below
+            SheetOp::DeleteRows { ids: vec![5, 0] }, // appended 0, old 0
+            update(3),                               // old row 4 now
+            SheetOp::DeleteRows { ids: vec![0] },    // old row 1
+        ];
+        let net = NetEdits::of(5, &edits).unwrap();
+        assert_eq!(
+            net,
+            NetEdits {
+                deleted: vec![0, 1],
+                updated: [(2, "Price".to_string())].into_iter().collect(),
+                first_appended: 3,
+                appended: 1,
+            }
+        );
+        // A position past the intermediate base, or a non-base edit.
+        assert_eq!(NetEdits::of(5, &[update(5)]), None);
+        let rename = SheetOp::Rename {
+            from: "Price".to_string(),
+            to: "Cost".to_string(),
+        };
+        assert_eq!(NetEdits::of(5, &[rename]), None);
+    }
+
+    #[test]
+    fn rebase_with_patches_the_warm_cache_or_names_its_fallback() {
+        let mut s = warm_grouped_sheet();
+        // The writer: a second sheet over the same base, as a host has.
+        let mut writer = Spreadsheet::over_shared(s.base_arc());
+        let edits = vec![
+            SheetOp::AppendRows {
+                rows: vec![tuple![999, "Jetta", 15500, 2005, 60000, "Good"]],
+            },
+            SheetOp::UpdateCell {
+                row: 0,
+                column: "Model".to_string(),
+                value: Value::str("Civic"),
+            },
+            SheetOp::DeleteRows { ids: vec![2, 9] },
+            SheetOp::UpdateCell {
+                row: 3,
+                column: "Price".to_string(),
+                value: Value::Int(100),
+            },
+        ];
+        let id = crate::replica::EventId { replica: 0, seq: 1 };
+        for edit in &edits {
+            edit.apply(&mut writer, id).unwrap();
+        }
+        s.rebase_with(writer.base_arc(), Some(&edits)).unwrap();
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Rebased {
+                appended: 0,
+                deleted: 1,
+                updated: 2,
+            }
+        );
+        assert!(Arc::ptr_eq(&s.base_arc(), &writer.base_arc()));
+        assert_matches_fresh(&mut s);
+
+        writer
+            .append_row(tuple![998, "Golf", 9000, 2004, 80000, "Fair"])
+            .unwrap();
+        s.rebase_with(writer.base_arc(), None).unwrap();
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Full {
+                reason: "refresh gap not in the published edit list"
+            }
+        );
+        assert_matches_fresh(&mut s);
+
+        s.view().unwrap();
+        writer.delete_rows(&[0]).unwrap();
+        let wrong = [SheetOp::DeleteRows { ids: vec![0, 1] }];
+        s.rebase_with(writer.base_arc(), Some(&wrong)).unwrap();
+        assert_eq!(
+            s.last_delta(),
+            &StateDelta::Full {
+                reason: "refresh edits do not lead to the new base"
+            }
+        );
+        assert_matches_fresh(&mut s);
     }
 }

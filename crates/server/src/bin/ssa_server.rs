@@ -33,6 +33,62 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Return freed heap memory to the OS when the resident size grows
+/// (glibc only).
+///
+/// The evaluator's parallel sections run on short-lived scoped threads,
+/// and glibc gives each of them an arena of its own. Rows those threads
+/// build outlive them — a session's cached evaluation — and are freed
+/// later by a request thread. The freed memory then stays in the dead
+/// thread's arena, resident, until some later parallel section happens
+/// to reuse it. A session that builds a large view and then narrows it
+/// strands ~12 MB that way; a refresh that patches its cache never
+/// evaluates again, so nothing would reclaim it. `malloc_trim` releases
+/// the free pages of every arena; it takes each arena's lock briefly,
+/// so it runs on its own thread rather than on a request path.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn spawn_heap_trimmer() {
+    /// How often the trimmer reads the resident size.
+    const INTERVAL: std::time::Duration = std::time::Duration::from_millis(250);
+    /// Resident-size growth since the last trim, in kB, that triggers
+    /// the next one. Pages handed back fault in again when the allocator
+    /// reuses them, so trimming on a timer, or on every small rise, would
+    /// tax every write's chunk copies; a jump this large is a freed
+    /// evaluation, not a writer's working set.
+    const GROWTH_KB: u64 = 8192;
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    fn resident_kb() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    }
+    std::thread::Builder::new()
+        .name("ssa-server-trim".into())
+        .spawn(|| {
+            let mut baseline = 0;
+            while let Some(now) = resident_kb() {
+                if now > baseline + GROWTH_KB {
+                    // SAFETY: `malloc_trim` takes no pointers and is
+                    // thread-safe; it only returns unused pages of the
+                    // allocator's own heaps.
+                    unsafe {
+                        malloc_trim(0);
+                    }
+                    baseline = resident_kb().unwrap_or(now);
+                } else {
+                    baseline = baseline.min(now);
+                }
+                std::thread::sleep(INTERVAL);
+            }
+        })
+        .expect("spawn heap trim thread");
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn spawn_heap_trimmer() {}
+
 fn preload(state: &ServerState, spec: &str) -> Result<(), String> {
     let config = if spec == "tiny" {
         ssa_tpch::GenConfig::tiny()
@@ -164,6 +220,8 @@ fn main() -> ExitCode {
             }
         }
     }
+
+    spawn_heap_trimmer();
 
     // Under `--fsync batch:MS` a background sweep flushes dirty WALs on
     // the batch interval, bounding the window in which an acked-but-

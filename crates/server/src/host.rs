@@ -36,10 +36,10 @@ use spreadsheet_algebra::{
     VersionVector,
 };
 use ssa_relation::{Catalog, Relation, Tuple, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 
 /// An immutable, atomically published view of one sheet's base data.
 #[derive(Debug, Clone)]
@@ -52,11 +52,32 @@ pub struct SheetSnapshot {
     pub version: u64,
 }
 
+/// How many recent base edits a host publishes beside its snapshot. A
+/// session that fell further behind re-evaluates in full on refresh.
+const PUBLISHED_EDITS: usize = 32;
+
+/// What a publish swaps in, under one lock: the snapshot, plus the base
+/// edits that produced the latest bases so a refreshing session can patch
+/// its cache instead of re-evaluating.
+///
+/// The list sits beside the replica's own op log because that log is
+/// behind the writer mutex, and a refresh must never wait on a write or
+/// an fsync.
+struct Published {
+    snapshot: Arc<SheetSnapshot>,
+    /// `(base the edit was applied to, committed edit)`, oldest first;
+    /// each edit's result is the next entry's base, and the last one's is
+    /// `snapshot.base`. The bases are held weakly: a superseded base's
+    /// rows are freed once no session holds it, and its allocation stays
+    /// reserved, so a pointer match identifies it exactly.
+    edits: VecDeque<(Weak<Relation>, SheetOp)>,
+}
+
 /// One hosted sheet: serialized durable writer + published snapshot.
 pub struct SheetHost {
     name: String,
     writer: Mutex<DurableSheet>,
-    published: RwLock<Arc<SheetSnapshot>>,
+    published: RwLock<Published>,
 }
 
 impl std::fmt::Debug for SheetHost {
@@ -102,7 +123,10 @@ impl SheetHost {
         SheetHost {
             name,
             writer: Mutex::new(durable),
-            published: RwLock::new(snapshot),
+            published: RwLock::new(Published {
+                snapshot,
+                edits: VecDeque::new(),
+            }),
         }
     }
 
@@ -113,16 +137,44 @@ impl SheetHost {
     /// The currently published snapshot (lock-free for practical
     /// purposes: a short read lock around one `Arc` clone).
     pub fn snapshot(&self) -> Arc<SheetSnapshot> {
+        Arc::clone(&self.read_published().snapshot)
+    }
+
+    fn read_published(&self) -> std::sync::RwLockReadGuard<'_, Published> {
         match self.published.read() {
-            Ok(g) => Arc::clone(&g),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
         }
     }
 
+    /// The published snapshot and, read under the same lock, the base
+    /// edits that lead from `from` to it, oldest first — `None` when
+    /// `from` is not a base the published edit list reaches back to.
+    fn catch_up(&self, from: &Arc<Relation>) -> (Arc<SheetSnapshot>, Option<Vec<SheetOp>>) {
+        let published = self.read_published();
+        let snapshot = Arc::clone(&published.snapshot);
+        if Arc::ptr_eq(from, &snapshot.base) {
+            return (snapshot, Some(Vec::new()));
+        }
+        let edits = published
+            .edits
+            .iter()
+            .position(|(base, _)| std::ptr::eq(base.as_ptr(), Arc::as_ptr(from)))
+            .map(|at| {
+                published
+                    .edits
+                    .range(at..)
+                    .map(|(_, op)| op.clone())
+                    .collect()
+            });
+        (snapshot, edits)
+    }
+
     /// Swap in a snapshot of the writer's current state; returns the
-    /// published version. Infallible by design: it is only called after
-    /// the op is applied and logged.
-    fn publish(&self, writer: &DurableSheet) -> u64 {
+    /// published version. `edit` is the committed op when this publish
+    /// follows one. Infallible by design: it is only called after the op
+    /// is applied and logged.
+    fn publish(&self, writer: &DurableSheet, edit: Option<&SheetOp>) -> u64 {
         let sheet = writer.replica().sheet();
         let snapshot = Arc::new(SheetSnapshot {
             name: self.name.clone(),
@@ -130,10 +182,31 @@ impl SheetHost {
             version: sheet.version(),
         });
         let version = snapshot.version;
-        match self.published.write() {
-            Ok(mut g) => *g = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
+        let mut published = match self.published.write() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let previous = Arc::clone(&published.snapshot.base);
+        if !Arc::ptr_eq(&previous, &snapshot.base) {
+            match edit {
+                Some(
+                    op @ (SheetOp::AppendRows { .. }
+                    | SheetOp::UpdateCell { .. }
+                    | SheetOp::DeleteRows { .. }),
+                ) => {
+                    if published.edits.len() == PUBLISHED_EDITS {
+                        published.edits.pop_front();
+                    }
+                    published
+                        .edits
+                        .push_back((Arc::downgrade(&previous), op.clone()));
+                }
+                // A merge, a rename or anything else that moved the base:
+                // the list no longer leads to the new base.
+                _ => published.edits.clear(),
+            }
         }
+        published.snapshot = snapshot;
         version
     }
 
@@ -161,8 +234,8 @@ impl SheetHost {
         });
         match published {
             Ok(()) => {
-                let event = receipt.event.clone();
-                let version = self.publish(&writer);
+                let event = receipt.event;
+                let version = self.publish(&writer, Some(&event.op));
                 Ok((event, version))
             }
             Err(e) => {
@@ -211,7 +284,7 @@ impl SheetHost {
         let (peer_vv, events) = decode_sync(body)?;
         let mut writer = lock_writer(&self.writer);
         writer.absorb(&events)?;
-        self.publish(&writer);
+        self.publish(&writer, None);
         let reply = writer.events_since(&peer_vv)?;
         encode_sync(&writer.replica().frontier_vv(), &reply)
     }
@@ -610,22 +683,24 @@ impl ServerState {
 
     /// Re-pin a session to its sheet's latest snapshot, keeping the
     /// session's query state (selections, grouping, aggregates) intact —
-    /// the paper's Sec. V split makes this a pure base swap + re-eval.
+    /// the paper's Sec. V split. The session's warm cache is patched with
+    /// the published base edits it has not seen; when the edit list does
+    /// not reach back to the session's base (or the patch cannot apply)
+    /// it re-evaluates in full and `explain` names the reason.
     pub fn refresh_session(&self, id: u64) -> Result<u64> {
         let slot = self.session(id)?;
-        let mut slot = match slot.lock() {
+        let mut guard = match slot.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let snapshot = self.host(&slot.sheet)?.snapshot();
+        let slot = &mut *guard;
+        let host = self.host(&slot.sheet)?;
+        let engine = slot.script.session.engine()?;
+        let (snapshot, edits) = host.catch_up(&engine.sheet().base_arc());
         if snapshot.version == slot.version {
             return Ok(slot.version);
         }
-        slot.script
-            .session
-            .engine()?
-            .sheet_mut()
-            .rebase(Arc::clone(&snapshot.base))?;
+        engine.rebase_with(Arc::clone(&snapshot.base), edits.as_deref())?;
         slot.version = snapshot.version;
         Ok(slot.version)
     }

@@ -196,6 +196,73 @@ fn session_flow_reads_pinned_snapshot_until_refresh() {
     handle.shutdown();
 }
 
+/// `explain` names what a refresh did: the patch kind when the session's
+/// warm cache was patched with the published edits, and the named reason
+/// when it re-evaluated in full.
+#[test]
+fn refresh_reports_patch_or_named_fallback_in_explain() {
+    let (_state, handle) = boot();
+    let addr = handle.addr();
+    request(addr, "PUT", "/sheets/cars", CARS_CSV);
+    let last_delta = |id: u32| {
+        let (status, explain) = request(addr, "GET", &format!("/sessions/{id}/explain"), "");
+        assert_eq!(status, 200);
+        explain
+            .lines()
+            .find_map(|l| l.strip_prefix("last delta: "))
+            .unwrap_or_else(|| panic!("no last delta line: {explain}"))
+            .to_string()
+    };
+    // Session 1 patches; session 2's dedup forces the full fallback.
+    for (id, gestures) in [(1, "group Model asc\nagg avg Price\n"), (2, "dedup\n")] {
+        let (status, body) = request(addr, "POST", "/sessions?sheet=cars", "");
+        assert_eq!(status, 201, "session: {body}");
+        let (status, body) = request(addr, "POST", &format!("/sessions/{id}/apply"), gestures);
+        assert_eq!(status, 200, "apply: {body}");
+        let (status, _) = request(addr, "GET", &format!("/sessions/{id}/view"), "");
+        assert_eq!(status, 200);
+    }
+
+    request(addr, "POST", "/sheets/cars/rows", "5,Jetta,12000,2003\n");
+    request(addr, "POST", "/sheets/cars/cells", "1 Price 13000");
+    request(addr, "POST", "/sheets/cars/delete", "3");
+    for id in [1, 2] {
+        let (status, body) = request(addr, "POST", &format!("/sessions/{id}/refresh"), "");
+        assert_eq!(status, 200, "refresh: {body}");
+        assert!(body.contains("\"version\": 3"), "refresh body: {body}");
+    }
+    assert_eq!(
+        last_delta(1),
+        "rebased (1 appended, 1 deleted, 1 cells updated)"
+    );
+    assert_eq!(
+        last_delta(2),
+        "full (duplicate elimination re-decides survivors)"
+    );
+    let (_, view) = request(addr, "GET", "/sessions/1/view", "");
+    assert!(
+        view.contains("12000") && view.contains("13000"),
+        "view: {view}"
+    );
+    assert!(!view.contains("Passat"), "deleted row still shown: {view}");
+
+    // A gap longer than the published edit list re-evaluates in full.
+    for i in 0..40 {
+        request(
+            addr,
+            "POST",
+            "/sheets/cars/rows",
+            &format!("{},Golf,9000,2001\n", 10 + i),
+        );
+    }
+    request(addr, "POST", "/sessions/1/refresh", "");
+    assert_eq!(
+        last_delta(1),
+        "full (refresh gap not in the published edit list)"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn keep_alive_serves_many_requests_per_connection() {
     let (_state, handle) = boot();

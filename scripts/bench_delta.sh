@@ -17,7 +17,8 @@
 # BENCH_incremental.json (edit latency speedups), BENCH_join.json
 # (hash-vs-nested join speedups), BENCH_plan.json (planned multi-join
 # speedups), BENCH_stream.json (streaming base-delta speedups),
-# BENCH_server.json (shared-snapshot read throughput/tails),
+# BENCH_server.json (shared-snapshot read throughput/tails, commit and
+# refresh latency),
 # BENCH_persist.json (binary columnar save / cold-open speedups) and
 # BENCH_wal.json (durability tax of logged appends) today, anything a
 # future bench writes tomorrow. Plan, stream, server, persist and wal
@@ -102,6 +103,14 @@ SERVER_FLOOR_ROWS = 100_000
 # still catching a return to per-commit table copies.
 SERVER_COMMIT_P50_CEILING_MS = 2.0
 
+# A session refresh after four commits must patch the session's warm
+# cache with the published edits, not re-evaluate the sheet: the p50 of
+# refresh + view for the feed dashboard must stay under this many
+# milliseconds at 100k rows. Measured at ~0.33 ms on a 2-vCPU x86-64
+# container, where the full re-evaluation a re-pin without the edits
+# pays is ~13 ms (`full_p50_ms`).
+SERVER_REFRESH_P50_CEILING_MS = 2.0
+
 # Cold open-to-first-answer through the paged binary store must stay
 # >= 5x faster than parsing the JSON dump when the query touches a
 # strict subset of the columns, at the full 1M-row size — the
@@ -178,18 +187,22 @@ def floor_checks(path, fresh):
             if ratio > ceiling:
                 yield f"{label} overhead_ratio {ratio:g} > ceiling {ceiling:g}"
     if path == "BENCH_server.json":
-        for entry in fresh.get("writes", []):
-            if (entry.get("rows", 0) < SERVER_FLOOR_ROWS
-                    or entry.get("scenario") != "append_100_commit"):
-                continue
-            label = f"{path}:writes:{dict(entry_key(entry))}"
-            p50 = float(entry.get("p50_ms", float("inf")))
-            ceiling = SERVER_COMMIT_P50_CEILING_MS
-            verdict = "FAIL" if p50 > ceiling else "ok"
-            print(f"{verdict:4} {label} p50_ms ceiling: "
-                  f"{p50:g} (need <= {ceiling:g})")
-            if p50 > ceiling:
-                yield f"{label} p50_ms {p50:g} > ceiling {ceiling:g}"
+        ceilings = {
+            ("writes", "append_100_commit"): SERVER_COMMIT_P50_CEILING_MS,
+            ("refreshes", "refresh_after_4_writes"): SERVER_REFRESH_P50_CEILING_MS,
+        }
+        for (section, scenario), ceiling in ceilings.items():
+            for entry in fresh.get(section, []):
+                if (entry.get("rows", 0) < SERVER_FLOOR_ROWS
+                        or entry.get("scenario") != scenario):
+                    continue
+                label = f"{path}:{section}:{dict(entry_key(entry))}"
+                p50 = float(entry.get("p50_ms", float("inf")))
+                verdict = "FAIL" if p50 > ceiling else "ok"
+                print(f"{verdict:4} {label} p50_ms ceiling: "
+                      f"{p50:g} (need <= {ceiling:g})")
+                if p50 > ceiling:
+                    yield f"{label} p50_ms {p50:g} > ceiling {ceiling:g}"
 
 failures = []
 compared = 0

@@ -8,10 +8,10 @@
 //! deep copy of the pinned base), and the fault-injected publish path
 //! proves a failed write never corrupts what readers see.
 
-use spreadsheet_algebra::Spreadsheet;
+use spreadsheet_algebra::{DurableSheet, Spreadsheet, StateDelta};
 use ssa_relation::rng::Rng;
-use ssa_relation::{Relation, Tuple};
-use ssa_server::{session_over, SheetHost};
+use ssa_relation::{Relation, Tuple, Value};
+use ssa_server::{session_over, ServerState, SheetHost};
 use ssa_tpch::{schema, FeedConfig, OrderFeed};
 use std::sync::Arc;
 
@@ -116,7 +116,7 @@ fn reader_view_is_bitwise_stable_across_writer_commits() {
         .engine()
         .expect("engine")
         .sheet_mut()
-        .rebase(Arc::clone(&host.snapshot().base))
+        .rebase_with(Arc::clone(&host.snapshot().base), None)
         .expect("rebase onto latest snapshot");
     let refreshed = slot.script.execute("show").expect("refreshed view");
     assert_ne!(refreshed, baseline, "refresh must surface writer commits");
@@ -237,6 +237,235 @@ fn interleaved_sessions_match_single_site_oracle() {
             &oracle.script.execute("show").expect("oracle view"),
             view,
             "final view diverged from the single-site oracle"
+        );
+    }
+}
+
+/// Undo after a refresh changes query state only: the session keeps the
+/// refreshed base, and later refreshes keep following the writer.
+#[test]
+fn undo_after_refresh_keeps_the_refreshed_base() {
+    let _guard = test_lock();
+    let state = ServerState::new();
+    let base = ssa_relation::csv::parse_csv("t", "k\n1\n2\n").expect("csv parses");
+    state.create_sheet(base).expect("host sheet");
+    let (id, _) = state.create_session("t").expect("open session");
+    let slot = state.session(id).expect("session");
+    let rows = |slot: &std::sync::Mutex<ssa_server::SessionSlot>| {
+        let mut slot = slot.lock().expect("slot lock");
+        let engine = slot.script.session.engine().expect("engine");
+        engine.view().expect("view").data.len()
+    };
+    slot.lock()
+        .expect("slot lock")
+        .script
+        .execute("select k > 0")
+        .expect("select");
+    let host = state.host("t").expect("host");
+    host.append_rows(vec![Tuple::new(vec![Value::Int(3)])])
+        .expect("append commits");
+    state.refresh_session(id).expect("refresh");
+    assert_eq!(rows(&slot), 3, "refresh surfaces the appended row");
+
+    slot.lock()
+        .expect("slot lock")
+        .script
+        .execute("undo")
+        .expect("undo the selection");
+    assert_eq!(rows(&slot), 3, "undo brought back the pre-refresh base");
+    state.refresh_session(id).expect("refresh after undo");
+    assert_eq!(rows(&slot), 3);
+
+    host.append_rows(vec![Tuple::new(vec![Value::Int(4)])])
+        .expect("append commits");
+    state
+        .refresh_session(id)
+        .expect("refresh after the next write");
+    assert_eq!(rows(&slot), 4, "refresh after undo follows the writer");
+    slot.lock()
+        .expect("slot lock")
+        .script
+        .execute("redo")
+        .expect("redo the selection");
+    assert_eq!(rows(&slot), 4, "redo brought back an older base");
+}
+
+/// Session query states for the refresh differential test. The first
+/// four patch; `dedup` and a selection reading an aggregate force the
+/// full fallback.
+const REFRESH_SESSIONS: &[&[&str]] = &[
+    &[
+        "group o_orderstatus asc",
+        "agg avg o_totalprice 2",
+        "select o_totalprice > 150000",
+    ],
+    &[
+        "group o_orderpriority desc",
+        "agg sum o_totalprice 2",
+        "agg max o_totalprice 2",
+        "order o_totalprice desc 2",
+    ],
+    &[
+        "select o_totalprice < 60000",
+        "formula margin = o_totalprice * 0.1",
+        "order o_custkey asc",
+    ],
+    &[
+        "group o_orderstatus asc",
+        "group o_orderpriority asc",
+        "agg min o_totalprice 3",
+        "agg count o_orderkey 2",
+    ],
+    &["dedup", "group o_orderstatus asc"],
+    &[
+        "group o_orderstatus asc",
+        "agg avg o_totalprice 2",
+        "select o_totalprice > Avg_o_totalprice",
+    ],
+];
+
+/// One random base write through the host: mostly small appends, some
+/// cell updates (including grouping and sort columns) and deletes, with
+/// positions drawn near the chunk boundaries half the time.
+fn random_write(host: &SheetHost, feed: &mut OrderFeed, rng: &mut Rng) {
+    let len = host.snapshot().base.len();
+    let chunk = ssa_relation::rows::CHUNK;
+    let row = |rng: &mut Rng| -> u32 {
+        let at = if rng.gen_bool(0.5) {
+            let edge = chunk * rng.gen_range(1..=(len / chunk).max(1));
+            edge + rng.gen_range(0..4usize) - 2
+        } else {
+            rng.gen_range(0..len)
+        };
+        at.min(len - 1) as u32
+    };
+    match rng.gen_range(0..20u32) {
+        0..=13 => {
+            let n = rng.gen_range(1..=4usize);
+            host.append_rows(feed.batch(n)).expect("append commits");
+        }
+        14..=16 => {
+            let r = row(rng);
+            let (column, value) = match rng.gen_range(0..3u32) {
+                0 => (
+                    "o_totalprice",
+                    Value::Float(rng.gen_range(900..180_000i64) as f64 + 0.5),
+                ),
+                1 => ("o_orderstatus", Value::str(*rng.pick(&["F", "O", "P"]))),
+                _ => (
+                    "o_orderpriority",
+                    Value::str(*rng.pick(&["1-URGENT", "5-LOW"])),
+                ),
+            };
+            host.update_cell(r, column, value).expect("update commits");
+        }
+        _ => {
+            let ids: Vec<u32> = (0..rng.gen_range(1..=3usize)).map(|_| row(rng)).collect();
+            host.delete_rows(&ids).expect("delete commits");
+        }
+    }
+}
+
+/// Refreshing sessions patch their warm caches with the published base
+/// edits; after every refresh the view must equal, bitwise, a fresh
+/// session's view with the same gestures over the same snapshot. The
+/// debug-default cache audit re-checks each patch against a full
+/// evaluation too.
+#[test]
+fn refresh_patches_match_a_fresh_session() {
+    let _guard = test_lock();
+    let chunk = ssa_relation::rows::CHUNK;
+    let (base, mut feed) = orders(2 * chunk - 3, 41);
+    // A second replica from the same genesis, for merge publishes.
+    let peer = SheetHost::from_durable(
+        DurableSheet::in_memory(1, deep_copy(&base)).expect("peer replica"),
+    );
+    let state = ServerState::new();
+    state.create_sheet(base).expect("host sheet");
+    let host = state.host("orders").expect("host");
+    let mut rng = Rng::seed_from_u64(0x2EF2_E54D);
+
+    let mut sessions = Vec::new();
+    for gestures in REFRESH_SESSIONS {
+        let (id, _) = state.create_session("orders").expect("open session");
+        let slot = state.session(id).expect("session");
+        {
+            let mut slot = slot.lock().expect("slot lock");
+            for line in *gestures {
+                slot.script.execute(line).expect("gesture applies");
+            }
+            slot.script.execute("show").expect("warm the cache");
+        }
+        sessions.push((id, slot, gestures.to_vec()));
+    }
+
+    let mut patched = 0;
+    let mut reasons = std::collections::BTreeSet::new();
+    for round in 0..36 {
+        // Mostly feed-sized gaps; every ninth round outruns the
+        // published edit list, and every twelfth publishes a merge.
+        let writes = if round % 9 == 8 {
+            40
+        } else {
+            rng.gen_range(0..=6usize)
+        };
+        for _ in 0..writes {
+            random_write(&host, &mut feed, &mut rng);
+        }
+        if round % 12 == 11 {
+            peer.append_rows(feed.batch(2)).expect("peer append");
+            host.sync_exchange(&peer.sync_pull().expect("peer payload"))
+                .expect("merge publishes");
+        }
+        for (id, slot, gestures) in &mut sessions {
+            if rng.gen_bool(0.25) {
+                continue; // this session sits the round out: a longer gap
+            }
+            if rng.gen_bool(0.2) {
+                // A state edit the cache has not seen yet.
+                let extra = *rng.pick(&["order o_orderdate desc", "select o_custkey > 3"]);
+                slot.lock()
+                    .expect("slot lock")
+                    .script
+                    .execute(extra)
+                    .expect("extra gesture applies");
+                gestures.push(extra);
+            }
+            state.refresh_session(*id).expect("refresh");
+            let mut slot = slot.lock().expect("slot lock");
+            let engine = slot.script.session.engine().expect("engine");
+            match engine.sheet().last_delta() {
+                StateDelta::Rebased { .. } => patched += 1,
+                StateDelta::Full { reason } => {
+                    reasons.insert(*reason);
+                }
+                _ => {}
+            }
+            let view = engine.view().expect("refreshed view").clone();
+
+            let snapshot = host.snapshot();
+            assert!(Arc::ptr_eq(&engine.sheet().base_arc(), &snapshot.base));
+            let mut fresh = session_over(&snapshot);
+            for line in gestures.iter() {
+                fresh.script.execute(line).expect("gesture applies");
+            }
+            let fresh_engine = fresh.script.session.engine().expect("engine");
+            assert_eq!(
+                &view,
+                fresh_engine.view().expect("fresh view"),
+                "round {round}: refreshed session {id} diverged from a fresh one"
+            );
+        }
+    }
+    assert!(patched > 50, "only {patched} refreshes patched");
+    for reason in [
+        "refresh gap not in the published edit list",
+        "duplicate elimination re-decides survivors",
+        "a selection reads an aggregate-dependent column",
+    ] {
+        assert!(
+            reasons.contains(reason),
+            "no fallback for {reason:?}: {reasons:?}"
         );
     }
 }
